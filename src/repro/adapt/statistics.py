@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-import networkx as nx
-
 from repro.errors import WorkloadError
 from repro.execution.access import AccessDescriptor, AccessKind
 from repro.model.schema import Schema
@@ -107,15 +105,21 @@ class AttributeStatistics:
         """
         if not 0.0 < threshold <= 1.0:
             raise WorkloadError(f"threshold must be in (0,1], got {threshold}")
-        graph = nx.Graph()
-        graph.add_nodes_from(self.schema.names)
-        for (first, second), __ in self.co_access.items():
+        # Union-find over the schema: each edge merges two components.
+        parent = {name: name for name in self.schema.names}
+
+        def root(name: str) -> str:
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
+        for first, second in self.co_access:
             if self.affinity(first, second) >= threshold:
-                graph.add_edge(first, second)
-        order = {name: position for position, name in enumerate(self.schema.names)}
-        groups = [
-            tuple(sorted(component, key=order.__getitem__))
-            for component in nx.connected_components(graph)
-        ]
-        groups.sort(key=lambda group: order[group[0]])
-        return groups
+                parent[root(first)] = root(second)
+        # Walking the schema in order keeps members in schema order and
+        # orders the groups by their first member.
+        components: dict[str, list[str]] = {}
+        for name in self.schema.names:
+            components.setdefault(root(name), []).append(name)
+        return [tuple(members) for members in components.values()]

@@ -314,14 +314,6 @@ class BlockStore:
             counters.fault_recoveries += 1
         return victim
 
-    def _first_under_replicated(self) -> tuple[str, DFSBlock] | None:
-        """The first (path, block) below target, in stable file order."""
-        for path, dfs_file in self._files.items():
-            for block in dfs_file.blocks:
-                if len(self._up_replicas(block)) < self.replication:
-                    return path, block
-        return None
-
     def re_replicate(
         self,
         counters: PerfCounters | None = None,
@@ -336,21 +328,31 @@ class BlockStore:
         limit).  New replicas land only on up nodes; when too few are
         up to meet the target the repair also raises.
 
-        The loop is convergent under cascading failures: pass
-        *crash_site* (e.g. ``cluster.node-crash``) to check the shared
-        injector after every repaired replica — a firing kills one more
-        up node mid-repair (disk loss) and the scan restarts, so blocks
-        un-repaired by the second failure are revisited.  Each absorbed
-        mid-repair crash is recorded as *recovered* once the store
-        converges.  Returns the number of replicas created.
+        Blocks are walked once, in stable file order, each repaired up
+        to the target before moving on: a repair touches only its own
+        block, so the blocks behind the cursor stay at target.  The
+        loop is convergent under cascading failures: pass *crash_site*
+        (e.g. ``cluster.node-crash``) to check the shared injector
+        after every repaired replica — a firing kills one more up node
+        mid-repair (disk loss) and the walk restarts from the first
+        block, so blocks un-repaired by the second failure are
+        revisited.  Each absorbed mid-repair crash is recorded as
+        *recovered* once the store converges.  Returns the number of
+        replicas created.
         """
         created = 0
         absorbed_crashes = 0
-        while True:
-            problem = self._first_under_replicated()
-            if problem is None:
-                break
-            path, block = problem
+        blocks = [
+            (path, block)
+            for path, dfs_file in self._files.items()
+            for block in dfs_file.blocks
+        ]
+        cursor = 0
+        while cursor < len(blocks):
+            path, block = blocks[cursor]
+            if len(self._up_replicas(block)) >= self.replication:
+                cursor += 1
+                continue
             if not self._up_replicas(block):
                 raise DistributedError(
                     f"block {path!r}#{block.index} lost: no surviving "
@@ -384,6 +386,7 @@ class BlockStore:
                 if victims:
                     self.fail_node(self.injector.choice(victims))
                     absorbed_crashes += 1
+                    cursor = 0
         if absorbed_crashes and self.injector is not None:
             self.injector.report.record_recovered(absorbed_crashes)
             if counters is not None:

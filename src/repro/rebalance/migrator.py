@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from repro.faults.policy import RetryPolicy
 from repro.rebalance.journal import pending_migrations
 from repro.rebalance.planner import MergeOp, MoveOp, RebalanceOp, SplitOp
 from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import LogRecordKind, WriteAheadLog
+from repro.recovery.wal import LogRecord, LogRecordKind, WriteAheadLog
 from repro.sharding.placement import (
     Shard,
     ShardMap,
@@ -487,7 +488,7 @@ class LiveMigrator:
         surfaces un-tallied."""
         reader = self.cluster.node(migration.fragments[0].primary)
 
-        def read_log() -> list:
+        def read_log() -> Sequence[LogRecord]:
             self.injector.check(SITE_NET_DROP_CATCHUP, ctx.counters)
             return load_entries(
                 self.wal, self.replicated, reader, ctx.counters, ctx

@@ -20,7 +20,12 @@ store's fault-aware read path (degrading across replicas under
 ``dfs.block-read`` faults) and verifies the shipped byte stream; after
 :meth:`~repro.distributed.dfs.BlockStore.fail_node` plus
 :meth:`~repro.distributed.dfs.BlockStore.re_replicate`, the stream
-must still verify — the test suite pins that.
+must still verify — the test suite pins that.  :meth:`read_records`
+is the replay entry point: the same verified read, returning the
+shipped :class:`~repro.recovery.wal.LogRecord` objects.  Segments are
+write-once and every byte read back is checked against what was
+shipped, so decoding the bytes again could only reproduce those
+records.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ class ReplicatedLog:
         self.shipped_bytes = 0
         #: Encoded bytes per segment, kept for read-back verification.
         self._expected: list[bytes] = []
+        #: The records the segments were encoded from, in LSN order —
+        #: the same objects the WAL holds in its durable prefix.
+        self._records: list[LogRecord] = []
 
     def _segment_path(self, segment: int) -> str:
         return f"wal/{self.name}/{segment:08d}"
@@ -72,6 +80,7 @@ class ReplicatedLog:
         self.segments += 1
         self.shipped_bytes += len(payload)
         self._expected.append(payload)
+        self._records.extend(records)
 
     # ------------------------------------------------------------------
     def read_back(
@@ -95,3 +104,19 @@ class ReplicatedLog:
                 )
             payloads.append(payload)
         return payloads
+
+    def read_records(
+        self,
+        reader: "ClusterNode",
+        counters: "PerfCounters | None" = None,
+    ) -> list[LogRecord]:
+        """Every shipped record in LSN order, after a verified read-back.
+
+        Performs exactly :meth:`read_back` — each segment through the
+        store's read path, with its transfer charges, ``dfs.block-read``
+        draws and byte-for-byte check (a corrupt segment raises
+        :class:`~repro.errors.DistributedError`) — then returns the
+        records the verified bytes were encoded from.
+        """
+        self.read_back(reader, counters)
+        return list(self._records)

@@ -90,9 +90,11 @@ class LogRecord:
     payload: str = ""
     torn: bool = False
 
-    def encode(self) -> bytes:
-        """The record's serialized form (replication ships these bytes)."""
-        body = repr(
+    def __post_init__(self) -> None:
+        # Encoded once, eagerly: append, fsync, shipping and size
+        # accounting all need the same bytes.  A plain instance
+        # attribute (not a field) stays out of equality and hashing.
+        encoded = repr(
             (
                 self.lsn,
                 self.kind.value,
@@ -105,12 +107,21 @@ class LogRecord:
                 self.payload,
             )
         ).encode()
-        return body
+        object.__setattr__(self, "_encoded", encoded)
+
+    def encode(self) -> bytes:
+        """The record's serialized form (replication ships these bytes).
+
+        The ``repr`` body is the byte model behind :attr:`nbytes`: WAL
+        append and fsync cycles, DFS transfer cycles and space
+        amplification are all priced from its length.
+        """
+        return self._encoded
 
     @property
     def nbytes(self) -> int:
         """Serialized size including the fixed header."""
-        return RECORD_HEADER_BYTES + len(self.encode())
+        return RECORD_HEADER_BYTES + len(self._encoded)
 
 
 class WriteAheadLog:

@@ -12,78 +12,54 @@ set of shard columns read back from the DFS:
 Both need exactly the same semantics — only updates belonging to
 committed transactions are applied, in LSN order, restricted to the
 positions the target columns actually hold — so the logic lives here
-once.  :func:`load_entries` normalizes the two durable sources (the
-replicated log's DFS segments when log shipping is configured, else
-the coordinator's local durable prefix) into plain tuples, and
+once.  :func:`load_entries` returns the durable records from either
+source (the replicated log's verified DFS read when log shipping is
+configured, else the coordinator's local durable prefix), and
 :func:`replay_updates` applies them.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import WriteAheadLog
+from repro.recovery.wal import LogRecord, LogRecordKind, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distributed.cluster import Node
+    from repro.distributed.cluster import ClusterNode
     from repro.execution.context import ExecutionContext
     from repro.hardware.event import PerfCounters
 
-__all__ = ["LogEntry", "load_entries", "replay_updates"]
-
-#: One durable log record as a plain tuple:
-#: ``(lsn, kind, txn_id, relation, attribute, position, before, after,
-#: payload)`` — the wire format the replicated log ships.
-LogEntry = tuple
+__all__ = ["load_entries", "replay_updates"]
 
 
 def load_entries(
     wal: WriteAheadLog,
     replicated: "ReplicatedLog | None",
-    reader: "Node",
+    reader: "ClusterNode",
     counters: "PerfCounters",
     ctx: "ExecutionContext",
-) -> list[LogEntry]:
-    """Read every durable log entry, as *reader* would see it.
+) -> Sequence[LogRecord]:
+    """Read every durable log record, as *reader* would see it.
 
     The volatile tail is forced out first (a log force — both failover
     and cutover need the committed prefix to be complete before it is
-    replayed).  When *replicated* is given the entries come from its
+    replayed).  When *replicated* is given the records come from its
     DFS segments read from *reader*'s point of view (remote transfers
-    charged to *counters*); otherwise from the local durable prefix.
+    charged to *counters*, every byte verified against what was
+    shipped); otherwise from the local durable prefix.
     """
     if wal.tail_records:
         wal.flush(ctx)
     if replicated is not None:
-        payloads = replicated.read_back(reader, counters)
-        return [
-            ast.literal_eval(line.decode())
-            for payload in payloads
-            for line in payload.split(b"\n")
-            if line
-        ]
-    return [
-        (
-            record.lsn,
-            record.kind.value,
-            record.txn_id,
-            record.relation,
-            record.attribute,
-            record.position,
-            record.before,
-            record.after,
-            record.payload,
-        )
-        for record in wal.durable_records()
-    ]
+        return replicated.read_records(reader, counters)
+    return wal.durable_records()
 
 
 def replay_updates(
-    entries: list[LogEntry],
+    entries: Sequence[LogRecord],
     relation: str,
     positions: np.ndarray,
     columns: dict[str, np.ndarray],
@@ -99,22 +75,23 @@ def replay_updates(
     rows are not double-applied.  Returns the number of cell writes and
     the set of transaction ids replayed.
     """
-    committed = {entry[2] for entry in entries if entry[1] == "commit"}
+    commit, update = LogRecordKind.COMMIT, LogRecordKind.UPDATE
+    committed = {record.txn_id for record in entries if record.kind is commit}
     owned = set(int(p) for p in positions)
     applied = 0
     replayed_txns: set[int] = set()
-    for lsn, kind, txn, rel, attribute, position, _before, after, _ in entries:
+    for record in entries:
         if (
-            kind != "update"
-            or lsn <= min_lsn
-            or txn not in committed
-            or rel != relation
-            or position not in owned
-            or attribute not in columns
+            record.kind is not update
+            or record.lsn <= min_lsn
+            or record.txn_id not in committed
+            or record.relation != relation
+            or record.position not in owned
+            or record.attribute not in columns
         ):
             continue
-        local = int(np.searchsorted(positions, position))
-        columns[attribute][local] = after
+        local = int(np.searchsorted(positions, record.position))
+        columns[record.attribute][local] = record.after
         applied += 1
-        replayed_txns.add(txn)
+        replayed_txns.add(record.txn_id)
     return applied, replayed_txns

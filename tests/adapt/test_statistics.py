@@ -101,6 +101,62 @@ class TestGroups:
             stats.affinity_groups(1.5)
 
 
+class TestHandBuiltGraphs:
+    """Exact components, in schema order, on hand-built co-access graphs."""
+
+    @pytest.fixture
+    def wide(self):
+        return Schema.of(*((name, INT32) for name in "abcdef"))
+
+    def groups(self, schema, events, threshold=0.5):
+        return AttributeStatistics.from_events(schema, events).affinity_groups(
+            threshold
+        )
+
+    def test_disjoint_cliques_interleaved_in_schema(self, wide):
+        events = [event(("a", "c", "e"))] * 3 + [event(("b", "d"))] * 2
+        assert self.groups(wide, events) == [
+            ("a", "c", "e"),
+            ("b", "d"),
+            ("f",),
+        ]
+
+    def test_chain_built_from_its_far_end(self, wide):
+        pairs = [("e", "f"), ("d", "e"), ("c", "d"), ("b", "c")]
+        events = [event(pair) for pair in pairs] + [event(("a",))]
+        assert self.groups(wide, events) == [
+            ("a",),
+            ("b", "c", "d", "e", "f"),
+        ]
+
+    def test_chain_through_a_late_attribute(self, wide):
+        events = [event(("a", "f")), event(("c", "f"))]
+        assert self.groups(wide, events) == [
+            ("a", "c", "f"),
+            ("b",),
+            ("d",),
+            ("e",),
+        ]
+
+    def test_star_around_one_attribute(self, wide):
+        events = [event(("b", other)) for other in "adf"]
+        assert self.groups(wide, events) == [
+            ("a", "b", "d", "f"),
+            ("c",),
+            ("e",),
+        ]
+
+    def test_all_singletons(self, wide):
+        events = [event((name,)) for name in "fedcba"]
+        assert self.groups(wide, events) == [(name,) for name in "abcdef"]
+
+    def test_threshold_edge_is_inclusive(self, wide):
+        # affinity(a, b) = 1 together / min(2, 2) alone-or-together = 0.5
+        events = [event(("a", "b")), event(("a",)), event(("b",))]
+        assert self.groups(wide, events, 0.5)[0] == ("a", "b")
+        assert self.groups(wide, events, 0.51)[:2] == [("a",), ("b",)]
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True),
