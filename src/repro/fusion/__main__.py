@@ -23,10 +23,10 @@ job blocks on all three.
 
 from __future__ import annotations
 
-import json
+import argparse
 from typing import Any, Sequence
 
-from repro.cli import verifier_parser
+from repro import verify
 
 __all__ = ["main"]
 
@@ -61,17 +61,9 @@ def _speedup_record(row_count: int) -> dict[str, Any]:
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the fusion grid + gates; write the record; 0 iff gates pass."""
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Run the fusion grid and the gated cell; the record's verdict."""
     from repro.bench.ablations import SWEEPS, fusion_sweep
-
-    parser = verifier_parser(
-        "python -m repro.fusion",
-        "Benchmark the pipeline compiler and gate its claims.",
-        default_seeds=None,
-        default_output="BENCH_fusion.json",
-    )
-    options = parser.parse_args(argv)
 
     if options.smoke:
         grid_kwargs = dict(SWEEPS["fusion"].smoke_kwargs)
@@ -82,50 +74,47 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     points = fusion_sweep(**grid_kwargs)
     speedup = _speedup_record(gate_rows)
-    identical = all(point.outcomes["identical"] == 1.0 for point in points)
+    identical = speedup["identical"] and all(
+        point.outcomes["identical"] == 1.0 for point in points
+    )
     ranked = all(point.outcomes["hype_rank_correct"] == 1.0 for point in points)
-    passed = speedup["passed"] and (identical and speedup["identical"]) and ranked
-    from repro.obs.bench import make_bench_record
-
-    record = make_bench_record(
-        "fusion",
-        ok=passed,
+    gates = {
+        "speedup_gate": speedup["passed"],
+        "byte_identity": identical,
+        "hype_ranking": ranked,
+    }
+    return verify.Verdict(
         metrics={
             "host_speedup": speedup["host_speedup"],
             "device_warm_speedup": speedup["device_warm_speedup"],
         },
+        problems=[name for name, passed in gates.items() if not passed],
         tolerances={
             "host_speedup": {"rel": 0.15, "direction": "higher_better"},
             "device_warm_speedup": {"rel": 0.15, "direction": "higher_better"},
         },
-        smoke=options.smoke,
-        grid=[
-            {"selectivity": point.knob, **point.outcomes} for point in points
-        ],
-        speedup_gate=speedup,
-        byte_identity={"passed": identical and speedup["identical"]},
-        hype_ranking={"passed": ranked},
+        payload=dict(
+            grid=[
+                {"selectivity": point.knob, **point.outcomes}
+                for point in points
+            ],
+            speedup_gate=speedup,
+            byte_identity={"passed": identical},
+            hype_ranking={"passed": ranked},
+        ),
     )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
 
-    print(
-        f"speedup gate (sel {GATE_SELECTIVITY}, {gate_rows} rows): "
-        f"host {speedup['host_speedup']:.2f}x, "
-        f"device warm {speedup['device_warm_speedup']:.2f}x "
-        f"({'ok' if speedup['passed'] else f'FAILED: expected >= {GATE_SPEEDUP}x'})"
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the fusion grid + gates; write the record; 0 iff gates pass."""
+    return verify.main(
+        "fusion",
+        "repro.fusion",
+        "Benchmark the pipeline compiler and gate its claims.",
+        _body,
+        argv,
+        seeds=False,
     )
-    print(
-        "byte-identity across the grid: "
-        f"{'ok' if record['byte_identity']['passed'] else 'FAILED'}"
-    )
-    print(
-        "HyPE fused-vs-unfused ranking: "
-        f"{'ok' if ranked else 'FAILED'} "
-        f"({len(points)} cells, both placements)"
-    )
-    passed = speedup["passed"] and record["byte_identity"]["passed"] and ranked
-    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke

@@ -15,7 +15,7 @@ fault injector that forces exactly one retried PCIe transfer, then:
 * checks that spans from at least five distinct layers (query,
   operator, kernel, pcie, wal) plus staging/fault instant events were
   recorded, and that every span tree nests cleanly;
-* prints the :func:`~repro.obs.profile.explain` report and writes
+* logs the :func:`~repro.obs.profile.explain` report and writes
   ``BENCH_obs.json`` with the per-layer cycle attribution.
 
 On top of that, the telemetry-plane gates run a compact serving probe
@@ -29,8 +29,9 @@ per ``--seeds`` seed:
   byte-identical (answers, makespan, counter totals) to the same seed
   with the plane off;
 * **SLO discrimination + determinism** — the healthy probe produces
-  zero burn-rate alerts, the seeded-overload probe fires, and running
-  the overload probe twice yields identical alert streams;
+  zero burn-rate alerts, the seeded-overload probe fires, and every
+  seed's probes run twice (:func:`repro.verify.run_cells`) yield
+  identical records, alert streams included;
 * **regression self-check** — :func:`repro.obs.regress.compare_records`
   flags a synthetic 25% regression and passes identical artifacts.
 
@@ -42,16 +43,20 @@ command; ``BENCH_obs.json`` follows the unified
 
 from __future__ import annotations
 
+import argparse
 import json
 from typing import Any, Sequence
 
-from repro.cli import verifier_parser
+from repro import verify
+from repro.obs.logging import get_logger
 
 __all__ = ["run_figure2_workload", "run_windowed_probe", "main"]
 
 #: Span layers the probe workload must exercise (instants add
 #: ``staging`` and ``fault`` on top).
 REQUIRED_SPAN_LAYERS = ("query", "operator", "kernel", "pcie", "wal")
+
+logger = get_logger(__name__)
 
 
 def run_figure2_workload(
@@ -247,41 +252,50 @@ def _regress_self_check() -> dict[str, bool]:
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the traced + untraced probes; write artifacts; 0 iff gates pass."""
-    from repro.cli import parse_seeds
-    from repro.obs.bench import make_bench_record
+def _seed_cell(seed: int) -> dict[str, Any]:
+    """The telemetry-plane gates on one seed's serving probe."""
+    healthy = run_windowed_probe(seed, overload=False)
+    healthy_plain = run_windowed_probe(seed, overload=False, windowed=False)
+    overload = run_windowed_probe(seed, overload=True)
+    gates = {
+        "window_closure": not healthy["closure_problems"]
+        and not overload["closure_problems"],
+        "windowed_zero_observer": healthy["fingerprint"]
+        == healthy_plain["fingerprint"],
+        "healthy_silent": len(healthy["alerts"]) == 0,
+        "overload_fires": len(overload["alerts"]) > 0,
+    }
+    return {
+        "gates": gates,
+        "problems": [name for name, passed in gates.items() if not passed],
+        "closure_problems": healthy["closure_problems"]
+        + overload["closure_problems"],
+        "healthy_alerts": len(healthy["alerts"]),
+        "overload_alerts": [
+            {
+                "slo": alert.slo,
+                "severity": alert.severity,
+                "cycle": alert.cycle,
+                "burn_fast": alert.burn_fast,
+                "burn_slow": alert.burn_slow,
+            }
+            for alert in overload["alerts"]
+        ],
+        "probe_makespan": overload["fingerprint"]["makespan"],
+    }
+
+
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Run the traced + untraced probes and the per-seed gates."""
     from repro.obs.export import validate_chrome_trace, write_chrome_trace
-    from repro.obs.logging import configure_cli_logging, get_logger
     from repro.obs.profile import explain, layer_attribution
     from repro.obs.tracer import Tracer, nesting_violations
-
-    parser = verifier_parser(
-        "python -m repro.obs",
-        "Trace a Figure-2 probe workload and gate the observability "
-        "contracts (zero observer effect, trace schema, window "
-        "closure, SLO burn-rate alerting, regression detection).",
-        default_output="BENCH_obs.json",
-    )
-    parser.add_argument(
-        "--rows",
-        type=int,
-        default=None,
-        help="override the probe relation's row count",
-    )
-    parser.add_argument(
-        "--trace",
-        default="trace.json",
-        help="where to write the Chrome/Perfetto trace (default: trace.json)",
-    )
-    options = parser.parse_args(argv)
-    configure_cli_logging()
-    logger = get_logger(__name__)
 
     rows = options.rows or (100_000 if options.smoke else 1_000_000)
     tracer = Tracer()
     traced = run_figure2_workload(rows=rows, tracer=tracer)
     untraced = run_figure2_workload(rows=rows, tracer=None)
+    logger.info("%s", explain(traced["ctx"], tracer))
 
     # Gate 1: zero observer effect, byte for byte.
     identical = json.dumps(traced["snapshot"], sort_keys=True) == json.dumps(
@@ -307,124 +321,73 @@ def main(argv: Sequence[str] | None = None) -> int:
         set(REQUIRED_SPAN_LAYERS) - span_layers
     ) + sorted({"staging", "fault"} - instant_layers)
 
-    # Gates 5-8, per seed: the telemetry-plane contracts on a compact
-    # serving probe (window closure, windowed zero observer, SLO
-    # discrimination, SLO determinism).
-    seeds = parse_seeds(options.seeds)
-    if options.smoke:
-        seeds = seeds[:1]
-    per_seed: dict[str, Any] = {}
-    windows_ok = True
-    metrics: dict[str, float] = {}
-    for seed in seeds:
-        healthy = run_windowed_probe(seed, overload=False)
-        healthy_plain = run_windowed_probe(seed, overload=False, windowed=False)
-        overload = run_windowed_probe(seed, overload=True)
-        overload_again = run_windowed_probe(seed, overload=True)
-        gates = {
-            "window_closure": not healthy["closure_problems"]
-            and not overload["closure_problems"],
-            "windowed_zero_observer": healthy["fingerprint"]
-            == healthy_plain["fingerprint"],
-            "healthy_silent": len(healthy["alerts"]) == 0,
-            "overload_fires": len(overload["alerts"]) > 0,
-            "alerts_deterministic": [a.key() for a in overload["alerts"]]
-            == [a.key() for a in overload_again["alerts"]],
-        }
-        windows_ok = windows_ok and all(gates.values())
-        per_seed[str(seed)] = {
-            "gates": gates,
-            "closure_problems": healthy["closure_problems"]
-            + overload["closure_problems"],
-            "healthy_alerts": len(healthy["alerts"]),
-            "overload_alerts": [
-                {
-                    "slo": alert.slo,
-                    "severity": alert.severity,
-                    "cycle": alert.cycle,
-                    "burn_fast": alert.burn_fast,
-                    "burn_slow": alert.burn_slow,
-                }
-                for alert in overload["alerts"]
-            ],
-        }
-        metrics[f"overload_alerts.s{seed}"] = float(len(overload["alerts"]))
-        metrics[f"probe_makespan.s{seed}"] = overload["fingerprint"][
-            "makespan"
-        ]
+    # Gates 5-8, per seed, each seed twice (so the alert stream is
+    # deterministic): the telemetry-plane contracts on a compact
+    # serving probe.
+    seeds = options.seeds[:1] if options.smoke else options.seeds
+    cells, problems = verify.run_cells(
+        (f"windowed gates (seed {seed})", lambda seed=seed: _seed_cell(seed))
+        for seed in seeds
+    )
+    per_seed = {str(seed): cell for seed, cell in zip(seeds, cells)}
 
     # Gate 9: the regression detector discriminates.
     regress_gates = _regress_self_check()
-
-    attribution = layer_attribution(tracer)
-    passed = (
-        identical
-        and not trace_problems
-        and not nesting
-        and not missing_layers
-        and windows_ok
-        and all(regress_gates.values())
-    )
-    metrics["figure2_cycles"] = traced["snapshot"]["cycles"]
-    record = make_bench_record(
-        "obs",
-        ok=passed,
-        metrics=metrics,
-        tolerances={
-            "figure2_cycles": {"rel": 0.05, "direction": "lower_better"},
-            **{
-                name: {"rel": 0.10, "direction": "two_sided"}
-                for name in metrics
-                if name.startswith("probe_makespan.")
-            },
-        },
-        smoke=options.smoke,
-        rows=rows,
-        zero_observer_identical=identical,
-        trace_file=options.trace,
-        trace_events=len(events),
-        trace_problems=trace_problems,
-        nesting_violations=nesting,
-        span_layers=sorted(span_layers),
-        instant_layers=sorted(instant_layers),
-        missing_layers=missing_layers,
-        layer_attribution_cycles=attribution,
-        rates=traced["rates"],
-        registry_dump=traced["metrics"],
-        seeds=per_seed,
-        regress_gates=regress_gates,
-    )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
-
-    logger.info("%s", explain(traced["ctx"], tracer))
-    logger.info("")
-    logger.info("zero-observer: %s", "ok" if identical else "FAILED")
-    logger.info(
-        "trace schema: %s (%d events)",
-        "ok" if not trace_problems else f"FAILED {trace_problems}",
-        len(events),
-    )
-    logger.info(
-        "span nesting: %s", "ok" if not nesting else f"FAILED {nesting}"
-    )
-    logger.info(
-        "layers: %s",
-        "ok" if not missing_layers else f"FAILED, missing {missing_layers}",
-    )
+    gates = {
+        "zero_observer_identical": identical,
+        "trace_problems": not trace_problems,
+        "nesting_violations": not nesting,
+        "missing_layers": not missing_layers,
+        **regress_gates,
+    }
+    problems += [name for name, passed in gates.items() if not passed]
+    metrics = {"figure2_cycles": traced["snapshot"]["cycles"]}
+    tolerances = {"figure2_cycles": {"rel": 0.05, "direction": "lower_better"}}
     for seed_key, cell in per_seed.items():
-        logger.info(
-            "windowed gates (seed %s): %s",
-            seed_key,
-            "ok"
-            if all(cell["gates"].values())
-            else f"FAILED {cell['gates']}",
-        )
-    logger.info(
-        "regression self-check: %s",
-        "ok" if all(regress_gates.values()) else f"FAILED {regress_gates}",
+        metrics[f"overload_alerts.s{seed_key}"] = len(cell["overload_alerts"])
+        metrics[f"probe_makespan.s{seed_key}"] = cell["probe_makespan"]
+        tolerances[f"probe_makespan.s{seed_key}"] = {
+            "rel": 0.10, "direction": "two_sided",
+        }
+    return verify.Verdict(
+        metrics=metrics,
+        problems=problems,
+        tolerances=tolerances,
+        payload=dict(
+            rows=rows,
+            zero_observer_identical=identical,
+            trace_file=options.trace,
+            trace_events=len(events),
+            trace_problems=trace_problems,
+            nesting_violations=nesting,
+            span_layers=sorted(span_layers),
+            instant_layers=sorted(instant_layers),
+            missing_layers=missing_layers,
+            layer_attribution_cycles=layer_attribution(tracer),
+            rates=traced["rates"],
+            registry_dump=traced["metrics"],
+            seeds=per_seed,
+            regress_gates=regress_gates,
+        ),
     )
-    return 0 if passed else 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the traced + untraced probes; write artifacts; 0 iff gates pass."""
+    return verify.main(
+        "obs",
+        "repro.obs",
+        "Trace a Figure-2 probe workload and gate the observability "
+        "contracts (zero observer effect, trace schema, window "
+        "closure, SLO burn-rate alerting, regression detection).",
+        _body,
+        argv,
+        arguments=(
+            ("--rows", dict(type=int, help="override the probe row count")),
+            ("--trace", dict(default="trace.json", help="where to write the "
+                             "Chrome/Perfetto trace (default: trace.json)")),
+        ),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-smoke

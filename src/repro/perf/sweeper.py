@@ -17,16 +17,15 @@ grid order.  This module fans them out:
   runs.  Results are therefore identical whatever the worker count,
   including ``workers=1`` which runs everything inline.
 
-``python -m repro.perf.sweeper --smoke --output BENCH_sweeps.json``
-runs the reduced CI grid and writes wall-clock and rows/s per sweep —
-the artifact CI's bench-smoke job tracks (docs/PERFORMANCE.md).
+``python -m repro.perf --smoke`` runs the reduced CI grid and writes
+wall-clock and rows/s per sweep to ``BENCH_sweeps.json`` — the
+artifact CI's bench-smoke job tracks (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import random
 import time
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.obs.logging import configure_cli_logging, get_logger
+from repro import verify
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.ablations import SweepPoint
@@ -46,6 +46,8 @@ __all__ = [
     "run_sweeps",
     "main",
 ]
+
+logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -203,59 +205,10 @@ def run_sweeps(
     return {name: run_sweep(name, workers=workers, smoke=smoke) for name in names}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: run sweeps and write the BENCH_sweeps.json record."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.sweeper",
-        description="Run ablation sweeps across multiprocessing workers.",
-    )
-    parser.add_argument(
-        "--sweeps",
-        default=None,
-        help="comma-separated sweep names (default: all registered sweeps)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: CPU count; 1 = inline)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the reduced CI grid instead of the full one",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="write a JSON record (wall-clock and rows/s per sweep) here",
-    )
-    options = parser.parse_args(argv)
-    configure_cli_logging()
-    logger = get_logger(__name__)
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Run the chosen sweeps; the record's verdict (no gates)."""
     names = options.sweeps.split(",") if options.sweeps else None
-    started = time.perf_counter()
     results = run_sweeps(names, workers=options.workers, smoke=options.smoke)
-    total_wall = time.perf_counter() - started
-    from repro.obs.bench import make_bench_record
-
-    record = make_bench_record(
-        "sweeps",
-        ok=True,
-        # Only deterministic figures are regression-comparable; the
-        # wall-clock and rows/s numbers stay in the payload.
-        metrics={
-            f"points.{name}": float(len(result.points))
-            for name, result in results.items()
-        },
-        smoke=options.smoke,
-        workers=options.workers or (os.cpu_count() or 1),
-        total_wall_seconds=total_wall,
-        sweeps={name: result.as_record() for name, result in results.items()},
-    )
-    if options.output:
-        with open(options.output, "w", encoding="utf-8") as sink:
-            json.dump(record, sink, indent=2, sort_keys=True)
     for name, result in results.items():
         logger.info(
             "%s: %d points, %.2fs wall, %s rows/s",
@@ -264,10 +217,36 @@ def main(argv: Sequence[str] | None = None) -> int:
             result.wall_seconds,
             f"{result.rows_per_second:,.0f}",
         )
-    logger.info(
-        "total: %.2fs wall across %d sweeps", total_wall, len(results)
+    return verify.Verdict(
+        # Only deterministic figures are regression-comparable; the
+        # wall-clock and rows/s numbers stay in the payload.
+        metrics={
+            f"points.{name}": float(len(result.points))
+            for name, result in results.items()
+        },
+        payload=dict(
+            workers=options.workers or (os.cpu_count() or 1),
+            sweeps={name: result.as_record() for name, result in results.items()},
+        ),
     )
-    return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point: run sweeps and write the BENCH_sweeps.json record."""
+    return verify.main(
+        "sweeps",
+        "repro.perf",
+        "Run ablation sweeps across multiprocessing workers.",
+        _body,
+        argv,
+        seeds=False,
+        arguments=(
+            ("--sweeps", dict(help="comma-separated sweep names "
+                              "(default: all registered sweeps)")),
+            ("--workers", dict(type=int, help="worker processes "
+                               "(default: CPU count; 1 = inline)")),
+        ),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke

@@ -2,16 +2,16 @@
 
 ``python -m repro.rebalance`` drives
 :func:`repro.rebalance.verifier.run_rebalance_chaos` through two
-experiments:
+experiments, each cell run twice by :func:`repro.verify.run_cells` (the
+determinism gate):
 
-1. **Verification matrix** — seeds × fault rates × operation mixes.
-   Each cell runs **twice** and the two runs must produce identical
-   resilience tallies and cycle totals (the determinism gate),
+1. **Verification matrix** — seeds × fault rates × operation mixes,
+   with the ``--sites`` fault sites armed.  Each cell must produce
    byte-identical answers vs. the single-node oracle (including the
-   closing full-table zero-loss checks), and a balanced fault
-   account.  Across the whole matrix every rebalance fault site must
-   have fired at least once (the coverage gate — a chaos harness
-   whose faults never fire gates nothing).
+   closing full-table zero-loss checks) and a balanced fault account.
+   Across the whole matrix every armed site must have fired at least
+   once (the coverage gate — a chaos harness whose faults never fire
+   gates nothing).
 
 2. **Balance bench** — one unfaulted skewed run per seed, gating the
    actual win: the post-rebalance max/mean shard-load ratio must come
@@ -24,11 +24,10 @@ is a real check and not just an artifact.
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Sequence
+import argparse
+from typing import Any, Sequence
 
-from repro.cli import parse_csv, parse_seeds, verifier_parser
+from repro import verify
 from repro.rebalance.verifier import (
     OP_MIXES,
     REBALANCE_SITES,
@@ -47,166 +46,106 @@ GATE_RATIO_BEFORE = 3.0
 GATE_RATIO_AFTER = 1.25
 
 
-def _run_cell(
-    seed: int, fault_rate: float, op_mix: str, smoke: bool
-) -> tuple[dict, list[str]]:
-    """One matrix cell: two identical runs, all gates; returns (record, fails)."""
-    kwargs = dict(
+def _bench_cell(seed: int) -> dict[str, Any]:
+    """One balance-bench run: the cell gates plus the ratio gate.
+
+    The balance bench always runs at full size with wide windows: the
+    smoke sizing (512 rows, 6-query windows) leaves per-shard load
+    counts too sparsely sampled to measure a ratio against a 1.25 gate,
+    and narrow *planning* windows can bait the planner into merging two
+    healthy shards that merely sampled cold.
+    """
+    entry = run_rebalance_chaos(
         seed=seed,
-        fault_rate=fault_rate,
-        op_mix=op_mix,
-        query_count=24 if smoke else 48,
-        row_count=512 if smoke else 2048,
-        interleave_count=24 if smoke else 48,
+        fault_rate=0.0,
+        op_mix="split",
+        query_count=144,
+        measure_count=192,
+    ).to_dict()
+    before, after = entry["ratio_before"], entry["ratio_after"]
+    if before < GATE_RATIO_BEFORE or after > GATE_RATIO_AFTER:
+        entry["problems"].append(f"ratio {before:.2f} -> {after:.2f}")
+    entry["gate"] = {
+        "ratio_before_min": GATE_RATIO_BEFORE,
+        "ratio_after_max": GATE_RATIO_AFTER,
+        "passed": not entry["problems"],
+    }
+    return entry
+
+
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Matrix + coverage + balance bench; the record's metrics and payload."""
+    mixes = ["split"] if options.smoke else sorted(OP_MIXES)
+    rates = (0.0, 0.25) if options.smoke else FAULT_RATES
+    sizing = dict(
+        query_count=24 if options.smoke else 48,
+        row_count=512 if options.smoke else 2048,
+        interleave_count=24 if options.smoke else 48,
     )
-    first = run_rebalance_chaos(**kwargs)
-    second = run_rebalance_chaos(**kwargs)
-    problems: list[str] = []
-    if first.mismatched:
-        problems.append(f"{first.mismatched} answers diverged from the oracle")
-    if not first.final_checks_ok:
-        problems.append("full-table zero-loss checks failed")
-    if not first.accounting_ok:
-        problems.append("fault accounting does not balance")
-    if first.resilience != second.resilience:
-        problems.append("resilience tallies differ between identical runs")
-    if first.cycles != second.cycles:
-        problems.append("cycle totals differ between identical runs")
-    if first.data_lost:
-        problems.append(f"data lost {first.data_lost}x at replication 2")
-    record = first.to_dict()
-    record["deterministic"] = (
-        first.resilience == second.resilience and first.cycles == second.cycles
+    cells, problems = verify.run_cells(
+        (
+            f"seed={seed} rate={rate:.2f} mix={mix}",
+            lambda seed=seed, rate=rate, mix=mix: run_rebalance_chaos(
+                seed=seed,
+                fault_rate=rate,
+                op_mix=mix,
+                sites=tuple(options.sites),
+                **sizing,
+            ).to_dict(),
+        )
+        for seed in options.seeds
+        for rate in rates
+        for mix in mixes
     )
-    record["problems"] = problems
-    return record, problems
+    silent = [
+        site
+        for site in options.sites
+        if not any(cell["resilience"].get(f"injected[{site}]") for cell in cells)
+    ]
+    if silent:
+        problems.append(f"coverage: sites never fired: {', '.join(silent)}")
+    bench, bench_problems = verify.run_cells(
+        (f"bench seed={seed}", lambda seed=seed: _bench_cell(seed))
+        for seed in options.seeds
+    )
+    problems += bench_problems
+
+    metrics = {"failures": float(len(problems))}
+    tolerances: dict[str, dict[str, Any]] = {
+        "failures": {"rel": 0.0, "direction": "lower_better"},
+    }
+    for entry in bench:
+        name = f"ratio_after.s{entry['seed']}"
+        metrics[name] = float(entry["ratio_after"])
+        tolerances[name] = {"rel": 0.10, "direction": "lower_better"}
+    return verify.Verdict(
+        metrics=metrics,
+        problems=problems,
+        tolerances=tolerances,
+        payload=dict(
+            seeds=options.seeds,
+            sites=options.sites,
+            fault_rates=list(rates),
+            op_mixes=mixes,
+            matrix=cells,
+            # "bench" is the envelope's harness-name key, so the balance
+            # bench cells land under "balance_bench".
+            balance_bench=bench,
+        ),
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point: matrix + balance bench, write the record, gate."""
-    parser = verifier_parser(
-        "python -m repro.rebalance",
+    return verify.main(
+        "rebalance",
+        "repro.rebalance",
         "Elastic rebalancing chaos harness: crash-safe live "
         "split/merge/move migrations under skewed verified traffic.",
-        default_sites=",".join(REBALANCE_SITES),
+        _body,
+        argv,
+        sites=REBALANCE_SITES,
     )
-    options = parser.parse_args(argv)
-    seeds = parse_seeds(options.seeds)
-    sites = parse_csv(options.sites)
-    mixes = sorted(OP_MIXES) if not options.smoke else ["split"]
-    rates = FAULT_RATES if not options.smoke else (0.0, 0.25)
-
-    started = time.perf_counter()
-    failures = 0
-    cells = []
-    injected_by_site: dict[str, float] = {site: 0.0 for site in sites}
-    for seed in seeds:
-        for fault_rate in rates:
-            for op_mix in mixes:
-                record, problems = _run_cell(
-                    seed, fault_rate, op_mix, options.smoke
-                )
-                failures += 1 if problems else 0
-                cells.append(record)
-                resilience = record["resilience"]
-                for site in injected_by_site:
-                    injected_by_site[site] += resilience.get(
-                        f"injected[{site}]", 0
-                    )
-                print(
-                    f"seed={seed:>3d} rate={fault_rate:.2f} mix={op_mix:<5s} "
-                    f"epoch={record['epoch']:>2d} "
-                    f"committed={record['committed']:>2d} "
-                    f"aborted={record['aborted']:>2d} "
-                    f"injected={resilience.get('injected', 0):4.0f} "
-                    f"matched={record['matched']}/{record['queries']} "
-                    f"det={str(record['deterministic']):<5s} "
-                    f"{'ok' if not problems else 'FAIL: ' + '; '.join(problems)}"
-                )
-    coverage_gaps = [
-        site for site, count in injected_by_site.items() if count == 0
-    ]
-    if coverage_gaps:
-        failures += 1
-        print(f"coverage FAIL: sites never fired: {', '.join(coverage_gaps)}")
-
-    bench = []
-    for seed in seeds:
-        # The balance bench always runs at full size with wide windows:
-        # the smoke sizing (512 rows, 6-query windows) leaves per-shard
-        # load counts too sparsely sampled to measure a ratio against a
-        # 1.25 gate, and narrow *planning* windows can bait the planner
-        # into merging two healthy shards that merely sampled cold.
-        result = run_rebalance_chaos(
-            seed=seed,
-            fault_rate=0.0,
-            op_mix="split",
-            query_count=144,
-            measure_count=192,
-        )
-        ok = (
-            result.ok
-            and result.ratio_before >= GATE_RATIO_BEFORE
-            and result.ratio_after <= GATE_RATIO_AFTER
-        )
-        failures += 0 if ok else 1
-        entry = result.to_dict()
-        entry["gate"] = {
-            "ratio_before_min": GATE_RATIO_BEFORE,
-            "ratio_after_max": GATE_RATIO_AFTER,
-            "passed": ok,
-        }
-        bench.append(entry)
-        share = (
-            result.rebalance_cycles / result.cycles if result.cycles else 0.0
-        )
-        print(
-            f"bench seed={seed:>3d} ratio {result.ratio_before:.2f} -> "
-            f"{result.ratio_after:.2f} over {result.epoch} epochs "
-            f"(migration cycles {share:6.1%} of total) "
-            f"{'ok' if ok else 'FAIL'}"
-        )
-
-    from repro.obs.bench import make_bench_record
-
-    metrics = {"failures": float(failures)}
-    tolerances: dict[str, dict[str, object]] = {
-        "failures": {"rel": 0.0, "direction": "lower_better"},
-    }
-    for entry in bench:
-        seed = entry["seed"]
-        metrics[f"ratio_after.s{seed}"] = float(entry["ratio_after"])
-        tolerances[f"ratio_after.s{seed}"] = {
-            "rel": 0.10,
-            "direction": "lower_better",
-        }
-    record = make_bench_record(
-        "rebalance",
-        ok=failures == 0,
-        # Wall-clock stays in the payload; only deterministic simulated
-        # figures are regression-comparable across runs.
-        metrics=metrics,
-        tolerances=tolerances,
-        smoke=options.smoke,
-        seeds=seeds,
-        sites=sites,
-        fault_rates=list(rates),
-        op_mixes=mixes,
-        wall_seconds=time.perf_counter() - started,
-        failures=failures,
-        matrix=cells,
-        # "bench" is the envelope's harness-name key, so the balance
-        # bench cells land under "balance_bench".
-        balance_bench=bench,
-    )
-    if options.output:
-        with open(options.output, "w", encoding="utf-8") as sink:
-            json.dump(record, sink, indent=2, sort_keys=True)
-    print(
-        f"{len(cells)} matrix cells + {len(bench)} bench cells, "
-        f"{failures} failures, {record['wall_seconds']:.2f}s wall"
-    )
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI chaos-rebalance

@@ -25,20 +25,13 @@ op-mix matrix (each cell twice — determinism gate) and writes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.distributed.cluster import Cluster
-from repro.distributed.dfs import BlockStore
-from repro.errors import ReproError
-from repro.execution.context import ExecutionContext
-from repro.faults.chaos import MAX_SURFACED_RETRIES
-from repro.faults.injector import FaultInjector
-from repro.hardware.platform import Platform
 from repro.obs.metrics import MetricsRegistry
-from repro.rebalance.driver import Rebalancer
+from repro.rebalance.driver import RebalanceRound, Rebalancer
 from repro.rebalance.migrator import (
     SITE_NET_DROP_CATCHUP,
     SITE_REBALANCE_CRASH_MID_COPY,
@@ -46,17 +39,14 @@ from repro.rebalance.migrator import (
     LiveMigrator,
 )
 from repro.rebalance.planner import RebalancePlanner
-from repro.rebalance.skew import SkewDetector
-from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import WriteAheadLog
-from repro.sharding.detector import FailureDetector
-from repro.sharding.executor import ShardedExecutor
-from repro.sharding.placement import ShardMap, ShardingScheme
-from repro.sharding.router import Router
+from repro.rebalance.skew import SkewDetector, SkewReport
 from repro.sharding.verifier import (
     SingleNodeOracle,
+    build_cluster,
     build_columns,
-    encode_answer,
+    cell_problems,
+    run_checked,
+    run_surfaced,
 )
 from repro.workload.queries import QueryShape, QuerySpec
 
@@ -189,51 +179,21 @@ class RebalanceRunResult:
     final_checks_ok: bool
 
     @property
+    def problems(self) -> list[str]:
+        """Every gate this cell fails (empty = pass)."""
+        problems = cell_problems(self)
+        if not self.final_checks_ok:
+            problems.append("full-table zero-loss checks failed")
+        return problems
+
+    @property
     def ok(self) -> bool:
         """The cell's verdict: byte-identical, lossless, accounted."""
-        return (
-            self.mismatched == 0
-            and self.final_checks_ok
-            and self.accounting_ok
-        )
+        return not self.problems
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready record for ``BENCH_rebalance.json``."""
-        return {
-            "seed": self.seed,
-            "node_count": self.node_count,
-            "shard_count": self.shard_count,
-            "replication": self.replication,
-            "fault_rate": self.fault_rate,
-            "op_mix": self.op_mix,
-            "sites": list(self.sites),
-            "queries": self.queries,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "data_lost": self.data_lost,
-            "ratio_before": self.ratio_before,
-            "ratio_after": self.ratio_after,
-            "epoch": self.epoch,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "cycles": self.cycles,
-            "rebalance_cycles": self.rebalance_cycles,
-            "resilience": self.resilience,
-            "migrator": self.migrator,
-            "accounting_ok": self.accounting_ok,
-            "final_checks_ok": self.final_checks_ok,
-            "ok": self.ok,
-        }
-
-
-def _repair(executor: ShardedExecutor, ctx: ExecutionContext) -> None:
-    """Restart crashed processes and re-establish replication."""
-    dfs = executor.dfs
-    for node_name in dfs.down_nodes:
-        dfs.restore_node(node_name)
-        executor.detector.revive(node_name)
-    if dfs.under_replicated():
-        dfs.re_replicate(ctx.counters)
+        return {**asdict(self), "ok": self.ok, "problems": self.problems}
 
 
 def run_rebalance_chaos(
@@ -265,52 +225,33 @@ def run_rebalance_chaos(
     gated balance figure needs a window wide enough to drown sampling
     noise (the default final batch is fine for verification but too
     narrow to gate on).  The result is a pure function of the
-    arguments; the CLI's determinism gate runs each cell twice and
-    requires identical resilience tallies and cycle totals.
+    arguments; the CLI runs each cell twice and requires identical
+    records.
     """
     if op_mix not in OP_MIXES:
         raise ValueError(f"unknown op_mix {op_mix!r}; want one of {sorted(OP_MIXES)}")
-    platform = Platform()
-    injector = FaultInjector(seed=seed)
-    injector.install(platform)
-    for site in sites:
-        injector.arm(site, fault_rate)
-    cluster = Cluster(node_count)
-    dfs = BlockStore(
-        cluster, replication=replication, block_size=64 * 1024, injector=injector
-    )
     columns = build_columns(row_count)
-    shard_map = ShardMap(
-        "orders", columns, cluster, dfs, shard_count,
-        scheme=ShardingScheme.RANGE,
+    metrics = MetricsRegistry()
+    executor, ctx = build_cluster(
+        seed, columns, node_count, shard_count, replication, fault_rate,
+        sites, metrics=metrics,
     )
+    shard_map = executor.shard_map
     if op_mix == "move":
         # Pathological placement: every shard but the first primaried on
         # one node.  The uniform stream keeps loads level, so the only
         # planned operations are placement moves.
-        crowded = cluster.nodes[1].name
+        crowded = shard_map.cluster.nodes[1].name
         for shard in shard_map.shards[1:]:
             state = shard_map.state(shard.shard_id)
             assert state is not None
             shard_map.promote(shard.shard_id, crowded, state)
-    detector = FailureDetector()
-    replicated = ReplicatedLog(dfs, name="orders")
-    wal = WriteAheadLog(platform, group_commit=1, replicator=replicated.on_flush)
-    metrics = MetricsRegistry()
-    executor = ShardedExecutor(
-        Router(shard_map),
-        injector,
-        detector=detector,
-        wal=wal,
-        replicated=replicated,
-        metrics=metrics,
-    )
     oracle = SingleNodeOracle(columns, executor.update_value)
-    ctx = ExecutionContext(platform=platform)
     skew = SkewDetector(metrics, shard_map, threshold=1.25)
     planner = RebalancePlanner(shard_map, target_ratio=1.15)
     migrator = LiveMigrator(
-        shard_map, wal, injector, replicated=replicated
+        shard_map, executor.wal, executor.injector,
+        replicated=executor.replicated,
     )
     rebalancer = Rebalancer(skew, planner, migrator)
 
@@ -326,31 +267,26 @@ def run_rebalance_chaos(
     def run_verified(query: QuerySpec) -> None:
         """Execute one query with surfaced-fault retries; byte-compare."""
         nonlocal matched, mismatched, data_lost
-        expected = encode_answer(oracle.answer(query))
-        result = None
-        for attempt in range(MAX_SURFACED_RETRIES + 1):
-            try:
-                result = executor.run(query, ctx)
-                break
-            except ReproError as error:
-                if getattr(error, "injected", False):
-                    injector.report.record_surfaced()
-                else:
-                    data_lost += 1
-                _repair(executor, ctx)
-                if attempt == MAX_SURFACED_RETRIES:
-                    raise
-        assert result is not None
-        if result.encoded() == expected:
-            matched += 1
-        else:
-            mismatched += 1
+        hit, organic = run_checked(query, oracle, executor, ctx)
+        matched += hit
+        mismatched += not hit
+        data_lost += organic
 
     def interleave() -> None:
         """Two live queries between one migration's copy and cutover."""
         for _ in range(2):
             if pool:
                 run_verified(pool.pop(0))
+
+    windows: list[SkewReport] = []
+
+    def rebalance_round() -> RebalanceRound:
+        """One planning round on the batch's window.  A retry re-windows:
+        the aborted round may have committed a prefix of its plan."""
+        report = windows.pop() if windows else skew.snapshot()
+        return rebalancer.rebalance_once(
+            ctx, report=report, interleave=interleave
+        )
 
     batches = rebalance_rounds + 1
     batch_size = max(1, query_count // batches)
@@ -371,25 +307,11 @@ def run_rebalance_chaos(
             ratio_before = window.ratio
         ratio_after = window.ratio
         if round_index < rebalance_rounds:
-            for attempt in range(MAX_SURFACED_RETRIES + 1):
-                try:
-                    outcome = rebalancer.rebalance_once(
-                        ctx, report=window, interleave=interleave
-                    )
-                    committed += outcome.committed
-                    aborted += outcome.aborted
-                    break
-                except ReproError as error:
-                    if getattr(error, "injected", False):
-                        injector.report.record_surfaced()
-                    else:
-                        data_lost += 1
-                    _repair(executor, ctx)
-                    if attempt == MAX_SURFACED_RETRIES:
-                        raise
-                    # Re-window: the aborted round may have committed a
-                    # prefix of its plan before the surfaced fault.
-                    window = skew.snapshot()
+            windows.append(window)
+            outcome, organic = run_surfaced(rebalance_round, executor, ctx)
+            committed += outcome.committed
+            aborted += outcome.aborted
+            data_lost += organic
 
     if measure_count:
         for query in build_skewed_stream(
@@ -433,8 +355,8 @@ def run_rebalance_chaos(
         aborted=aborted,
         cycles=ctx.counters.cycles,
         rebalance_cycles=migrator.stats.cycles,
-        resilience=injector.report.snapshot(),
+        resilience=executor.injector.report.snapshot(),
         migrator=migrator.stats.snapshot(),
-        accounting_ok=injector.report.unaccounted == 0,
+        accounting_ok=executor.injector.report.unaccounted == 0,
         final_checks_ok=final_checks_ok,
     )

@@ -4,92 +4,80 @@
 :func:`repro.recovery.verifier.run_crash_recover` across a seed × crash
 -site grid (defaults match the CI ``chaos-recovery`` job: seeds
 5/23/101 × the three crash sites) and writes one JSON record per cell —
-recovery cycles, replayed-transaction counts, and the two verdicts
-(state match, accounting balance).  Exits non-zero if any cell fails
-either verdict, so the job is a real gate and not just an artifact.
+recovery cycles, replayed-transaction counts, and the verdicts (the
+crash fired, state match, accounting balance).  Each cell runs twice
+(:func:`repro.verify.run_cells`, the determinism gate); the CLI exits
+non-zero if any cell fails, so the job is a real gate and not just an
+artifact.
 """
 
 from __future__ import annotations
 
-import json
-import time
+import argparse
 from typing import Sequence
 
-from repro.cli import parse_csv, parse_seeds, verifier_parser
+from repro import verify
 from repro.recovery.verifier import CRASH_SITES, run_crash_recover
 
 __all__ = ["main"]
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: run the matrix, write the record, gate on failures."""
-    parser = verifier_parser(
-        "python -m repro.recovery",
-        "Crash/recover verification harness (WAL + checkpoints "
-        "+ ARIES-lite restart against a committed-prefix oracle).",
-        default_sites=",".join(sorted(CRASH_SITES)),
-    )
-    options = parser.parse_args(argv)
-    seeds = parse_seeds(options.seeds)
-    sites = parse_csv(options.sites)
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """The crash/recover matrix; the record's metrics and payload."""
     # Smoke shrinks the table but keeps the full query stream: the
     # crash sites fire probabilistically per query, so cutting the
     # stream would leave some (seed, site) cells with no crash at all.
     sizing = dict(rows=200) if options.smoke else {}
 
-    started = time.perf_counter()
-    cells = []
-    failures = 0
-    for seed in seeds:
-        for site in sites:
-            result = run_crash_recover(seed, site, **sizing)
-            ok = result.crashed and result.state_matches and (
-                result.unaccounted_faults == 0
-            )
-            failures += 0 if ok else 1
-            cells.append(result.to_dict())
-            print(
-                f"seed={seed:>3d} site={site:<13s} "
-                f"crashed={str(result.crashed):<5s} "
-                f"match={str(result.state_matches):<5s} "
-                f"replayed={result.replayed_txns:3d} "
-                f"recovery_cycles={result.recovery_cycles:,.0f} "
-                f"{'ok' if ok else 'FAIL'}"
-            )
-    from repro.obs.bench import make_bench_record
+    def cell(seed: int, site: str) -> dict:
+        record = run_crash_recover(seed, site, **sizing).to_dict()
+        gates = {
+            "crashed": record["crashed"],
+            "state_matches": record["state_matches"],
+            "accounted": record["unaccounted_faults"] == 0,
+        }
+        problems = [name for name, passed in gates.items() if not passed]
+        return {**record, "problems": problems}
 
-    record = make_bench_record(
-        "recovery",
-        ok=failures == 0,
-        # The wall-clock stays in the payload: only the deterministic
-        # simulated figures are regression-comparable across runs.
+    cells, problems = verify.run_cells(
+        (
+            f"seed={seed} site={site}",
+            lambda seed=seed, site=site: cell(seed, site),
+        )
+        for seed in options.seeds
+        for site in options.sites
+    )
+    return verify.Verdict(
         metrics={
-            "failures": float(failures),
-            "replayed_txns": float(sum(cell["replayed_txns"] for cell in cells)),
-            "recovery_cycles": float(
-                sum(cell["recovery_cycles"] for cell in cells)
-            ),
+            "failures": float(len(problems)),
+            "replayed_txns": float(sum(c["replayed_txns"] for c in cells)),
+            "recovery_cycles": float(sum(c["recovery_cycles"] for c in cells)),
         },
+        problems=problems,
         tolerances={
             "failures": {"rel": 0.0, "direction": "lower_better"},
             "replayed_txns": {"rel": 0.10, "direction": "two_sided"},
             "recovery_cycles": {"rel": 0.10, "direction": "lower_better"},
         },
-        smoke=options.smoke,
-        seeds=seeds,
-        sites=sites,
-        wall_seconds=time.perf_counter() - started,
-        failures=failures,
-        runs=cells,
+        payload=dict(
+            seeds=options.seeds,
+            sites=options.sites,
+            runs=cells,
+        ),
     )
-    if options.output:
-        with open(options.output, "w", encoding="utf-8") as sink:
-            json.dump(record, sink, indent=2, sort_keys=True)
-    print(
-        f"{len(cells)} crash/recover cells, {failures} failures, "
-        f"{record['wall_seconds']:.2f}s wall"
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point: run the matrix, write the record, gate on failures."""
+    return verify.main(
+        "recovery",
+        "repro.recovery",
+        "Crash/recover verification harness (WAL + checkpoints "
+        "+ ARIES-lite restart against a committed-prefix oracle).",
+        _body,
+        argv,
+        sites=sorted(CRASH_SITES),
     )
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI chaos-recovery

@@ -1,50 +1,33 @@
 """``python -m repro.serving`` — the concurrent-serving verifier CLI.
 
-Shares the verifier flag vocabulary of ``repro.cli`` (``--seeds``,
-``--output``, ``--smoke``) with the other chaos harnesses.  Runs the
-byte-identity, throughput, tail-latency, and exactly-once-attribution
-gates per seed and writes the ``BENCH_serving.json`` record; exits
-non-zero when any gate fails, which is what the CI ``serving-bench``
-job keys off.
+Runs the byte-identity, throughput, tail-latency, and exactly-once-
+attribution gates per seed (each seed twice, the determinism gate)
+through the shared :mod:`repro.verify` harness and writes the
+``BENCH_serving.json`` record; exits non-zero when any gate fails,
+which is what the CI ``serving-bench`` job keys off.
 """
 
 from __future__ import annotations
 
-import json
-import sys
+from typing import Sequence
 
-from repro.cli import parse_seeds, verifier_parser
+from repro import verify
 from repro.serving.verifier import run_serving_verifier
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Parse flags, run the gates, write the record; 0 iff all pass."""
-    parser = verifier_parser(
-        "python -m repro.serving",
+    return verify.main(
+        "serving",
+        "repro.serving",
         "Concurrent multi-tenant serving verifier: batched answers must "
         "be byte-identical to a serial replay, batching must beat serial "
         "dispatch at saturation, and admission control must bound the "
         "latency tail.",
-        default_output="BENCH_serving.json",
+        lambda options: run_serving_verifier(options.seeds, options.smoke),
+        argv,
     )
-    args = parser.parse_args(argv)
-    record = run_serving_verifier(parse_seeds(args.seeds), smoke=args.smoke)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    for seed, cell in record["seeds"].items():
-        gates = " ".join(
-            f"{name}={'ok' if passed else 'FAIL'}"
-            for name, passed in cell["gates"].items()
-        )
-        print(
-            f"seed {seed}: speedup={cell['speedup']:.2f}x "
-            f"tail={cell['bounded']['tail_ratio']:.1f} {gates}"
-        )
-    print("serving verifier:", "OK" if record["ok"] else "FAILED")
-    return 0 if record["ok"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())
+    raise SystemExit(main())

@@ -22,12 +22,15 @@ four gates, each run per chaos seed:
   accounted for (``report.unaccounted == 0``).
 
 Every cell is a pure function of its seed; the determinism gate runs
-one cell twice and requires identical records.  ``python -m
+each seed's cell twice and requires identical records (the chaos
+run's answers, shed decisions and finish cycles enter the record as a
+SHA-256 digest).  ``python -m
 repro.serving`` drives this module and writes ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -37,7 +40,6 @@ from repro.faults.policy import RetryPolicy
 from repro.hardware.platform import Platform
 from repro.layout.fragment import Fragment, Region
 from repro.layout.layout import Layout
-from repro.obs.bench import make_bench_record
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
 from repro.serving.arrivals import (
@@ -58,6 +60,7 @@ from repro.serving.server import (
     ServingReport,
 )
 from repro.sharding.verifier import encode_answer
+from repro.verify import Verdict, run_cells
 from repro.workload.tpcc import generate_items, item_relation
 
 __all__ = [
@@ -88,6 +91,11 @@ MIN_UNBOUNDED_GROWTH = 1.4
 #: OLAP aggregation targets (two distinct columns, so batches both
 #: deduplicate repeats and carry multi-column operand sets).
 OLAP_ATTRIBUTES = ("i_price", "i_im_id")
+
+#: Tenants per cell, each arriving every SATURATION_GAP cycles: combined
+#: arrivals far denser than the ~57k-cycle warm device sum (saturation).
+TENANTS = 4
+SATURATION_GAP = 40_000.0
 
 
 def build_item_store(platform: Platform, row_count: int) -> Layout:
@@ -297,147 +305,143 @@ def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
     return record
 
 
+def _seed_cell(seed: int, row_count: int, horizon: float) -> dict[str, Any]:
+    """Every gate for one seed: the per-seed record."""
+    tenants = build_tenants(TENANTS, SATURATION_GAP, "poisson", horizon)
+    plain_tenants = build_tenants(
+        TENANTS, SATURATION_GAP, "poisson", horizon, uniform_priority=True
+    )
+
+    # --- Gate 1 + 4: batched, bounded, chaos-shed ---
+    chaos = serve_once(
+        seed, row_count, tenants, horizon, BATCH_16,
+        max_backlog=48, overflow_rate=0.05,
+    )
+    identity_bad = identity_mismatches(chaos, row_count)
+    attribution = _attribution_closed(chaos)
+    report = chaos.injector.report
+    chaos_closed = report.unaccounted == 0 and report.injected > 0
+
+    # --- Gate 2: throughput, same arrivals, serial vs batched ---
+    serial = serve_once(
+        seed, row_count, plain_tenants, horizon, SERIAL_DISPATCH,
+        max_backlog=None,
+    )
+    batched = serve_once(
+        seed, row_count, plain_tenants, horizon, BATCH_16,
+        max_backlog=None,
+    )
+    serial_tput = serial.report.throughput_per_second(serial.platform)
+    batched_tput = batched.report.throughput_per_second(batched.platform)
+    speedup = batched_tput / serial_tput if serial_tput > 0 else 0.0
+    batch_identity_bad = identity_mismatches(batched, row_count)
+
+    # --- Gate 3: tails — bounded queue vs open-loop collapse ---
+    bounded = serve_once(
+        seed, row_count, plain_tenants, horizon, BATCH_16, max_backlog=32
+    )
+    bounded_stats = _latency_stats(bounded)
+    # The collapse baseline is the *serial, unbounded* server: at
+    # ~5x utilization its backlog (and therefore its p99) grows
+    # linearly with the horizon, while the admission-controlled
+    # queue's tail stays put.
+    unbounded_stats = _latency_stats(serial)
+    long_tenants = build_tenants(
+        TENANTS, SATURATION_GAP, "poisson", horizon * 2, uniform_priority=True
+    )
+    unbounded_long = serve_once(
+        seed, row_count, long_tenants, horizon * 2, SERIAL_DISPATCH,
+        max_backlog=None,
+    )
+    long_stats = _latency_stats(unbounded_long)
+    growth = (
+        long_stats["p99_cycles"] / unbounded_stats["p99_cycles"]
+        if unbounded_stats["p99_cycles"] > 0
+        else 0.0
+    )
+
+    gates = {
+        "byte_identity": identity_bad == 0 and batch_identity_bad == 0,
+        "throughput_speedup": speedup >= MIN_BATCH_SPEEDUP,
+        "bounded_tail": bounded_stats["tail_ratio"] <= MAX_TAIL_RATIO
+        and bounded_stats["tail_ratio"] > 0,
+        "unbounded_growth": growth >= MIN_UNBOUNDED_GROWTH,
+        "exactly_once_attribution": attribution
+        and _attribution_closed(batched),
+        "chaos_accounted": chaos_closed,
+    }
+    return {
+        "gates": gates,
+        "problems": [name for name, passed in gates.items() if not passed],
+        # The determinism gate compares whole records, so the chaos
+        # run's full observable behaviour rides along as a digest.
+        "chaos_fingerprint": hashlib.sha256(
+            repr(_cell_fingerprint(chaos)).encode()
+        ).hexdigest(),
+        "identity_mismatches": identity_bad + batch_identity_bad,
+        "speedup": speedup,
+        "serial_throughput_qps": serial_tput,
+        "batched_throughput_qps": batched_tput,
+        "serial_units": serial.report.units,
+        "batched_units": batched.report.units,
+        "batches": batched.report.batches,
+        "bounded": bounded_stats,
+        "tenant_latency": _tenant_latency_summaries(bounded),
+        "unbounded": unbounded_stats,
+        "unbounded_2x_horizon": long_stats,
+        "shed_bounded": len(bounded.report.shed),
+        "shed_chaos": len(chaos.report.shed),
+        "chaos_injected": report.injected,
+        "chaos_unaccounted": report.unaccounted,
+    }
+
+
 def run_serving_verifier(
     seeds: list[int] | None = None, smoke: bool = False
-) -> dict[str, Any]:
-    """Run every gate for every seed; returns the BENCH record.
+) -> Verdict:
+    """Run every gate for every seed, each seed twice; returns the verdict.
 
-    The record's ``ok`` is the conjunction of all gates across all
-    seeds; per-seed detail lands under ``seeds`` so a CI failure says
+    Problems and the per-seed detail under ``payload["seeds"]`` say
     *which* gate on *which* seed moved.
     """
     seeds = seeds if seeds is not None else [5, 23, 101]
     row_count = 20_000 if smoke else 60_000
-    tenant_count = 4
     horizon = 3_000_000.0 if smoke else 6_000_000.0
-    # Per-tenant gap for saturation: combined arrivals far denser than
-    # the ~57k-cycle warm device sum.
-    saturation_gap = 40_000.0
-    per_seed: dict[str, Any] = {}
-    all_ok = True
-    for seed in seeds:
-        tenants = build_tenants(tenant_count, saturation_gap, "poisson", horizon)
-        plain_tenants = build_tenants(
-            tenant_count, saturation_gap, "poisson", horizon, uniform_priority=True
-        )
-
-        # --- Gate 1 + 4 + determinism: batched, bounded, chaos-shed ---
-        chaos = serve_once(
-            seed, row_count, tenants, horizon, BATCH_16,
-            max_backlog=48, overflow_rate=0.05,
-        )
-        chaos_again = serve_once(
-            seed, row_count, tenants, horizon, BATCH_16,
-            max_backlog=48, overflow_rate=0.05,
-        )
-        identity_bad = identity_mismatches(chaos, row_count)
-        deterministic = _cell_fingerprint(chaos) == _cell_fingerprint(chaos_again)
-        attribution = _attribution_closed(chaos)
-        report = chaos.injector.report
-        chaos_closed = report.unaccounted == 0 and report.injected > 0
-
-        # --- Gate 2: throughput, same arrivals, serial vs batched ---
-        serial = serve_once(
-            seed, row_count, plain_tenants, horizon, SERIAL_DISPATCH,
-            max_backlog=None,
-        )
-        batched = serve_once(
-            seed, row_count, plain_tenants, horizon, BATCH_16,
-            max_backlog=None,
-        )
-        serial_tput = serial.report.throughput_per_second(serial.platform)
-        batched_tput = batched.report.throughput_per_second(batched.platform)
-        speedup = batched_tput / serial_tput if serial_tput > 0 else 0.0
-        batch_identity_bad = identity_mismatches(batched, row_count)
-
-        # --- Gate 3: tails — bounded queue vs open-loop collapse ---
-        bounded = serve_once(
-            seed, row_count, plain_tenants, horizon, BATCH_16, max_backlog=32
-        )
-        bounded_stats = _latency_stats(bounded)
-        # The collapse baseline is the *serial, unbounded* server: at
-        # ~5x utilization its backlog (and therefore its p99) grows
-        # linearly with the horizon, while the admission-controlled
-        # queue's tail stays put.
-        unbounded_stats = _latency_stats(serial)
-        long_tenants = build_tenants(
-            tenant_count, saturation_gap, "poisson", horizon * 2,
-            uniform_priority=True,
-        )
-        unbounded_long = serve_once(
-            seed, row_count, long_tenants, horizon * 2, SERIAL_DISPATCH,
-            max_backlog=None,
-        )
-        long_stats = _latency_stats(unbounded_long)
-        growth = (
-            long_stats["p99_cycles"] / unbounded_stats["p99_cycles"]
-            if unbounded_stats["p99_cycles"] > 0
-            else 0.0
-        )
-
-        gates = {
-            "byte_identity": identity_bad == 0 and batch_identity_bad == 0,
-            "throughput_speedup": speedup >= MIN_BATCH_SPEEDUP,
-            "bounded_tail": bounded_stats["tail_ratio"] <= MAX_TAIL_RATIO
-            and bounded_stats["tail_ratio"] > 0,
-            "unbounded_growth": growth >= MIN_UNBOUNDED_GROWTH,
-            "exactly_once_attribution": attribution
-            and _attribution_closed(batched),
-            "chaos_accounted": chaos_closed,
-            "deterministic": deterministic,
-        }
-        all_ok = all_ok and all(gates.values())
-        per_seed[str(seed)] = {
-            "gates": gates,
-            "identity_mismatches": identity_bad + batch_identity_bad,
-            "speedup": speedup,
-            "serial_throughput_qps": serial_tput,
-            "batched_throughput_qps": batched_tput,
-            "serial_units": serial.report.units,
-            "batched_units": batched.report.units,
-            "batches": batched.report.batches,
-            "bounded": bounded_stats,
-            "tenant_latency": _tenant_latency_summaries(bounded),
-            "unbounded": unbounded_stats,
-            "unbounded_2x_horizon": long_stats,
-            "shed_bounded": len(bounded.report.shed),
-            "shed_chaos": len(chaos.report.shed),
-            "chaos_injected": report.injected,
-            "chaos_unaccounted": report.unaccounted,
-        }
+    cells, problems = run_cells(
+        (f"seed {seed}", lambda seed=seed: _seed_cell(seed, row_count, horizon))
+        for seed in seeds
+    )
+    per_seed = {str(seed): cell for seed, cell in zip(seeds, cells)}
     metrics: dict[str, float] = {}
     tolerances: dict[str, dict[str, Any]] = {}
     for seed_key, cell in per_seed.items():
-        metrics[f"speedup.s{seed_key}"] = cell["speedup"]
-        tolerances[f"speedup.s{seed_key}"] = {
-            "rel": 0.20, "direction": "higher_better",
-        }
-        metrics[f"tail_ratio.s{seed_key}"] = cell["bounded"]["tail_ratio"]
-        tolerances[f"tail_ratio.s{seed_key}"] = {
-            "rel": 0.50, "direction": "lower_better",
-        }
-        metrics[f"served.s{seed_key}"] = cell["bounded"]["served"]
-        tolerances[f"served.s{seed_key}"] = {
-            "rel": 0.10, "direction": "two_sided",
-        }
-    return make_bench_record(
-        "serving",
-        ok=all_ok,
+        for name, value, rel, direction in (
+            ("speedup", cell["speedup"], 0.20, "higher_better"),
+            ("tail_ratio", cell["bounded"]["tail_ratio"], 0.50, "lower_better"),
+            ("served", cell["bounded"]["served"], 0.10, "two_sided"),
+        ):
+            metrics[f"{name}.s{seed_key}"] = value
+            tolerances[f"{name}.s{seed_key}"] = {
+                "rel": rel, "direction": direction,
+            }
+    return Verdict(
         metrics=metrics,
+        problems=problems,
         tolerances=tolerances,
-        smoke=smoke,
-        config={
-            "row_count": row_count,
-            "tenants": tenant_count,
-            "horizon_cycles": horizon,
-            "per_tenant_gap_cycles": saturation_gap,
-            "max_batch": BATCH_16.max_batch,
-            "smoke": smoke,
-        },
-        thresholds={
-            "min_batch_speedup": MIN_BATCH_SPEEDUP,
-            "max_tail_ratio": MAX_TAIL_RATIO,
-            "min_unbounded_growth": MIN_UNBOUNDED_GROWTH,
-        },
-        seeds=per_seed,
+        payload=dict(
+            config={
+                "row_count": row_count,
+                "tenants": TENANTS,
+                "horizon_cycles": horizon,
+                "per_tenant_gap_cycles": SATURATION_GAP,
+                "max_batch": BATCH_16.max_batch,
+                "smoke": smoke,
+            },
+            thresholds={
+                "min_batch_speedup": MIN_BATCH_SPEEDUP,
+                "max_tail_ratio": MAX_TAIL_RATIO,
+                "min_unbounded_growth": MIN_UNBOUNDED_GROWTH,
+            },
+            seeds=per_seed,
+        ),
     )

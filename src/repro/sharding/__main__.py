@@ -1,14 +1,13 @@
 """CLI: run the distributed chaos matrix, write BENCH_distributed.json.
 
 ``python -m repro.sharding`` drives
-:func:`repro.sharding.verifier.run_chaos` through two experiments:
+:func:`repro.sharding.verifier.run_chaos` through two experiments, each
+cell run twice by :func:`repro.verify.run_cells` (the determinism gate):
 
 1. **Verification matrix** — seeds × fault sites (defaults match the CI
    ``chaos-distributed`` job: seeds 5/23/101 × the three distributed
-   sites).  Each cell runs **twice** and the two runs must produce
-   identical resilience tallies and cycle totals (the determinism
-   gate), byte-identical answers vs. the single-node oracle, and a
-   balanced fault account.
+   sites), gating byte-identical answers vs. the single-node oracle, a
+   balanced fault account and no data loss.
 
 2. **Scale sweep** — nodes × shards × fault-rate at replication >= 2,
    gating that **zero** faults surface past the failover machinery
@@ -21,11 +20,10 @@ not just an artifact.
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Sequence
+import argparse
+from typing import Any, Sequence
 
-from repro.cli import parse_csv, parse_seeds, verifier_parser
+from repro import verify
 from repro.sharding.verifier import CHAOS_SITES, run_chaos
 
 __all__ = ["main"]
@@ -39,124 +37,81 @@ SWEEP_GRID: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def _run_cell(seed: int, site: str, smoke: bool) -> tuple[dict, list[str]]:
-    """One matrix cell: two identical runs, all gates; returns (record, fails)."""
-    kwargs = dict(
-        seed=seed,
-        sites=(site,),
-        query_count=16 if smoke else 48,
-        row_count=512 if smoke else 2048,
+def _sweep_cell(**kwargs: Any) -> dict[str, Any]:
+    """One sweep run: the matrix gates plus zero surfaced faults."""
+    record = run_chaos(**kwargs).to_dict()
+    surfaced = record["resilience"].get("surfaced", 0)
+    if surfaced:
+        record["problems"].append(f"{surfaced:.0f} faults surfaced")
+    return record
+
+
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Matrix + sweep; the record's metrics and payload."""
+    sizing = dict(
+        query_count=16 if options.smoke else 48,
+        row_count=512 if options.smoke else 2048,
     )
-    first = run_chaos(**kwargs)
-    second = run_chaos(**kwargs)
-    problems: list[str] = []
-    if first.mismatched:
-        problems.append(f"{first.mismatched} answers diverged from the oracle")
-    if not first.accounting_ok:
-        problems.append("fault accounting does not balance")
-    if first.resilience != second.resilience:
-        problems.append("resilience tallies differ between identical runs")
-    if first.cycles != second.cycles:
-        problems.append("cycle totals differ between identical runs")
-    if first.data_lost:
-        problems.append(f"data lost {first.data_lost}x at replication 2")
-    record = first.to_dict()
-    record["deterministic"] = (
-        first.resilience == second.resilience and first.cycles == second.cycles
+    cells, problems = verify.run_cells(
+        (
+            f"seed={seed} site={site}",
+            lambda seed=seed, site=site: run_chaos(
+                seed=seed, sites=(site,), **sizing
+            ).to_dict(),
+        )
+        for seed in options.seeds
+        for site in options.sites
     )
-    record["problems"] = problems
-    return record, problems
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: matrix + sweep, write the record, gate on failures."""
-    parser = verifier_parser(
-        "python -m repro.sharding",
-        "Distributed chaos harness: sharded scatter-gather with "
-        "mid-query failover vs. a single-node oracle.",
-        default_sites=",".join(CHAOS_SITES),
-    )
-    options = parser.parse_args(argv)
-    seeds = parse_seeds(options.seeds)
-    sites = parse_csv(options.sites)
-
-    started = time.perf_counter()
-    failures = 0
-    cells = []
-    for seed in seeds:
-        for site in sites:
-            record, problems = _run_cell(seed, site, options.smoke)
-            failures += 1 if problems else 0
-            cells.append(record)
-            resilience = record["resilience"]
-            print(
-                f"seed={seed:>3d} site={site:<21s} "
-                f"injected={resilience.get('injected', 0):4.0f} "
-                f"surfaced={resilience.get('surfaced', 0):3.0f} "
-                f"matched={record['matched']}/{record['queries']} "
-                f"det={str(record['deterministic']):<5s} "
-                f"{'ok' if not problems else 'FAIL: ' + '; '.join(problems)}"
-            )
-
-    sweep = []
-    if not options.smoke:
-        for node_count, shard_count, fault_rate in SWEEP_GRID:
-            result = run_chaos(
-                seed=seeds[0],
-                node_count=node_count,
-                shard_count=shard_count,
+    grid = () if options.smoke else SWEEP_GRID
+    sweep, sweep_problems = verify.run_cells(
+        (
+            f"sweep nodes={nodes} shards={shards} rate={rate:.2f}",
+            lambda nodes=nodes, shards=shards, rate=rate: _sweep_cell(
+                seed=options.seeds[0],
+                node_count=nodes,
+                shard_count=shards,
                 replication=2,
-                fault_rate=fault_rate,
+                fault_rate=rate,
                 sites=CHAOS_SITES,
-            )
-            surfaced = result.resilience.get("surfaced", 0)
-            ok = result.ok and surfaced == 0 and result.data_lost == 0
-            failures += 0 if ok else 1
-            sweep.append(result.to_dict())
-            print(
-                f"sweep nodes={node_count} shards={shard_count:>2d} "
-                f"rate={fault_rate:.2f} "
-                f"injected={result.resilience.get('injected', 0):4.0f} "
-                f"surfaced={surfaced:3.0f} "
-                f"failovers={result.executor['failovers']:3d} "
-                f"{'ok' if ok else 'FAIL'}"
-            )
-
-    from repro.obs.bench import make_bench_record
-
-    record = make_bench_record(
-        "distributed",
-        ok=failures == 0,
-        # Wall-clock stays in the payload; only deterministic simulated
-        # figures are regression-comparable across runs.
+            ),
+        )
+        for nodes, shards, rate in grid
+    )
+    problems += sweep_problems
+    return verify.Verdict(
         metrics={
-            "failures": float(failures),
+            "failures": float(len(problems)),
             "matrix_cycles": float(sum(cell["cycles"] for cell in cells)),
             "injected": float(
                 sum(cell["resilience"].get("injected", 0) for cell in cells)
             ),
         },
+        problems=problems,
         tolerances={
             "failures": {"rel": 0.0, "direction": "lower_better"},
             "matrix_cycles": {"rel": 0.10, "direction": "lower_better"},
             "injected": {"rel": 0.10, "direction": "two_sided"},
         },
-        smoke=options.smoke,
-        seeds=seeds,
-        sites=sites,
-        wall_seconds=time.perf_counter() - started,
-        failures=failures,
-        matrix=cells,
-        sweep=sweep,
+        payload=dict(
+            seeds=options.seeds,
+            sites=options.sites,
+            matrix=cells,
+            sweep=sweep,
+        ),
     )
-    if options.output:
-        with open(options.output, "w", encoding="utf-8") as sink:
-            json.dump(record, sink, indent=2, sort_keys=True)
-    print(
-        f"{len(cells)} matrix cells + {len(sweep)} sweep cells, "
-        f"{failures} failures, {record['wall_seconds']:.2f}s wall"
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point: matrix + sweep, write the record, gate on failures."""
+    return verify.main(
+        "distributed",
+        "repro.sharding",
+        "Distributed chaos harness: sharded scatter-gather with "
+        "mid-query failover vs. a single-node oracle.",
+        _body,
+        argv,
+        sites=CHAOS_SITES,
     )
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI chaos-distributed

@@ -25,7 +25,7 @@ matrix plus a nodes × shards × fault-rate sweep and writes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from repro.execution.context import ExecutionContext
 from repro.faults.chaos import MAX_SURFACED_RETRIES
 from repro.faults.injector import FaultInjector
 from repro.hardware.platform import Platform
+from repro.obs.metrics import MetricsRegistry
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
 from repro.sharding.detector import FailureDetector
@@ -57,6 +58,10 @@ __all__ = [
     "encode_answer",
     "SingleNodeOracle",
     "ShardedRunResult",
+    "cell_problems",
+    "run_surfaced",
+    "run_checked",
+    "build_cluster",
     "run_chaos",
 ]
 
@@ -205,30 +210,31 @@ class ShardedRunResult:
     accounting_ok: bool
 
     @property
+    def problems(self) -> list[str]:
+        """Every gate this cell fails: mismatches, accounting, data loss."""
+        return cell_problems(self)
+
+    @property
     def ok(self) -> bool:
-        """The cell's verdict: all answers match and accounting balances."""
-        return self.mismatched == 0 and self.accounting_ok
+        """The cell's verdict: no gate failed."""
+        return not self.problems
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready record for ``BENCH_distributed.json``."""
-        return {
-            "seed": self.seed,
-            "node_count": self.node_count,
-            "shard_count": self.shard_count,
-            "replication": self.replication,
-            "fault_rate": self.fault_rate,
-            "sites": list(self.sites),
-            "queries": self.queries,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "data_lost": self.data_lost,
-            "cycles": self.cycles,
-            "resilience": self.resilience,
-            "detector": self.detector,
-            "executor": self.executor,
-            "accounting_ok": self.accounting_ok,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok, "problems": self.problems}
+
+
+def cell_problems(result: Any) -> list[str]:
+    """The gates every chaos cell shares, as failure lines: answers match
+    the oracle, the fault account balances, no organic data loss."""
+    problems = []
+    if result.mismatched:
+        problems.append(f"{result.mismatched} answers diverged from the oracle")
+    if not result.accounting_ok:
+        problems.append("fault accounting does not balance")
+    if result.data_lost:
+        problems.append(f"data lost {result.data_lost}x")
+    return problems
 
 
 def _repair(executor: ShardedExecutor, ctx: ExecutionContext) -> None:
@@ -244,6 +250,77 @@ def _repair(executor: ShardedExecutor, ctx: ExecutionContext) -> None:
         executor.detector.revive(node_name)
     if dfs.under_replicated():
         dfs.re_replicate(ctx.counters)
+
+
+def run_surfaced(
+    operation: Callable[[], Any], executor: ShardedExecutor, ctx: ExecutionContext
+) -> tuple[Any, int]:
+    """Run *operation*, handling surfaced faults; returns (result, organic).
+
+    An injected fault is recorded as surfaced, an organic one counted;
+    either way crashed processes restart and *operation* is re-issued,
+    at most ``MAX_SURFACED_RETRIES`` times.
+    """
+    organic = 0
+    for attempt in range(MAX_SURFACED_RETRIES + 1):
+        try:
+            return operation(), organic
+        except ReproError as error:
+            if getattr(error, "injected", False):
+                executor.injector.report.record_surfaced()
+            else:
+                organic += 1
+            _repair(executor, ctx)
+            if attempt == MAX_SURFACED_RETRIES:
+                raise
+
+
+def run_checked(
+    query: QuerySpec, oracle: SingleNodeOracle, executor: ShardedExecutor,
+    ctx: ExecutionContext,
+) -> tuple[bool, int]:
+    """One verified query; returns (matched the oracle, organic failures)."""
+    expected = encode_answer(oracle.answer(query))
+    result, organic = run_surfaced(
+        lambda: executor.run(query, ctx), executor, ctx
+    )
+    return result.encoded() == expected, organic
+
+
+def build_cluster(
+    seed: int, columns: dict[str, np.ndarray], node_count: int,
+    shard_count: int, replication: int, fault_rate: float,
+    sites: Sequence[str], scheme: ShardingScheme = ShardingScheme.RANGE,
+    metrics: MetricsRegistry | None = None,
+) -> tuple[ShardedExecutor, ExecutionContext]:
+    """A fresh chaos cluster serving *columns* as relation ``orders``.
+
+    The shard map, WAL, replicated log and the injector arming *sites*
+    at *fault_rate* are all reachable from the returned executor.
+    """
+    platform = Platform()
+    injector = FaultInjector(seed=seed)
+    injector.install(platform)
+    for site in sites:
+        injector.arm(site, fault_rate)
+    cluster = Cluster(node_count)
+    dfs = BlockStore(
+        cluster, replication=replication, block_size=64 * 1024, injector=injector
+    )
+    shard_map = ShardMap(
+        "orders", columns, cluster, dfs, shard_count, scheme=scheme
+    )
+    replicated = ReplicatedLog(dfs, name="orders")
+    wal = WriteAheadLog(platform, group_commit=1, replicator=replicated.on_flush)
+    executor = ShardedExecutor(
+        Router(shard_map),
+        injector,
+        detector=FailureDetector(),
+        wal=wal,
+        replicated=replicated,
+        metrics=metrics,
+    )
+    return executor, ExecutionContext(platform=platform)
 
 
 def run_chaos(
@@ -266,58 +343,23 @@ def run_chaos(
     Every *repair_every* queries (and after every surfaced fault)
     crashed processes are restarted, keeping fault sites live across
     the whole stream.  The result is a pure function of the arguments
-    — the CLI's determinism gate runs each cell twice and requires
-    identical resilience tallies and cycle totals.
+    — the CLI runs each cell twice and requires identical records.
     """
-    platform = Platform()
-    injector = FaultInjector(seed=seed)
-    injector.install(platform)
-    for site in sites:
-        injector.arm(site, fault_rate)
-    cluster = Cluster(node_count)
-    dfs = BlockStore(
-        cluster, replication=replication, block_size=64 * 1024, injector=injector
-    )
     columns = build_columns(row_count)
-    shard_map = ShardMap(
-        "orders", columns, cluster, dfs, shard_count, scheme=scheme
-    )
-    detector = FailureDetector()
-    replicated = ReplicatedLog(dfs, name="orders")
-    wal = WriteAheadLog(platform, group_commit=1, replicator=replicated.on_flush)
-    executor = ShardedExecutor(
-        Router(shard_map),
-        injector,
-        detector=detector,
-        wal=wal,
-        replicated=replicated,
+    executor, ctx = build_cluster(
+        seed, columns, node_count, shard_count, replication, fault_rate,
+        sites, scheme,
     )
     oracle = SingleNodeOracle(columns, executor.update_value)
-    ctx = ExecutionContext(platform=platform)
     queries = build_query_stream(row_count, query_count, seed)
-    matched = mismatched = data_lost = 0
+    matched = data_lost = 0
     for index, query in enumerate(queries):
-        expected = encode_answer(oracle.answer(query))
-        result = None
-        for attempt in range(MAX_SURFACED_RETRIES + 1):
-            try:
-                result = executor.run(query, ctx)
-                break
-            except ReproError as error:
-                if getattr(error, "injected", False):
-                    injector.report.record_surfaced()
-                else:
-                    data_lost += 1
-                _repair(executor, ctx)
-                if attempt == MAX_SURFACED_RETRIES:
-                    raise
-        assert result is not None
-        if result.encoded() == expected:
-            matched += 1
-        else:
-            mismatched += 1
+        hit, organic = run_checked(query, oracle, executor, ctx)
+        matched += hit
+        data_lost += organic
         if repair_every and (index + 1) % repair_every == 0:
             _repair(executor, ctx)
+    report = executor.injector.report
     return ShardedRunResult(
         seed=seed,
         node_count=node_count,
@@ -327,11 +369,11 @@ def run_chaos(
         sites=tuple(sites),
         queries=len(queries),
         matched=matched,
-        mismatched=mismatched,
+        mismatched=len(queries) - matched,
         data_lost=data_lost,
         cycles=ctx.counters.cycles,
-        resilience=injector.report.snapshot(),
-        detector=detector.snapshot(),
+        resilience=report.snapshot(),
+        detector=executor.detector.snapshot(),
         executor=executor.stats.snapshot(),
-        accounting_ok=injector.report.unaccounted == 0,
+        accounting_ok=report.unaccounted == 0,
     )

@@ -14,15 +14,16 @@ Writes ``BENCH_staging.json`` — the staging layer's acceptance record:
   kernel + result copy, compared with ``==``, not a tolerance.
 
 Both checks are asserted: the process exits non-zero when either
-fails, so CI's bench-smoke job gates on them.
+fails (through the shared :mod:`repro.verify` harness), so CI's
+bench-smoke job gates on them.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 from typing import Any, Sequence
 
-from repro.cli import verifier_parser
+from repro import verify
 
 __all__ = ["main"]
 
@@ -146,17 +147,9 @@ def _trajectory_record(
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the staging grid + checks; write the record; 0 iff checks pass."""
+def _body(options: argparse.Namespace) -> verify.Verdict:
+    """Run the staging grid + checks; the record's verdict."""
     from repro.bench.ablations import SWEEPS, staging_cache_sweep
-
-    parser = verifier_parser(
-        "python -m repro.staging",
-        "Benchmark the device staging cache and gate its invariants.",
-        default_seeds=None,
-        default_output="BENCH_staging.json",
-    )
-    options = parser.parse_args(argv)
 
     if options.smoke:
         grid_kwargs = dict(SWEEPS["staging_cache"].smoke_kwargs)
@@ -173,49 +166,44 @@ def main(argv: Sequence[str] | None = None) -> int:
     trajectory = _trajectory_record(
         grid_kwargs.get("row_count", 200_000), trajectory_queries
     )
-    from repro.obs.bench import make_bench_record
-
-    passed = warm_cold["passed"] and identity["passed"]
-    record = make_bench_record(
-        "staging",
-        ok=passed,
+    gates = {
+        "warm_vs_cold": warm_cold["passed"],
+        "cold_byte_identity": identity["passed"],
+    }
+    return verify.Verdict(
         metrics={
             "warm_cold_speedup": warm_cold["speedup"],
             "cold_cycles": warm_cold["cold_cycles"],
             "final_hit_rate": trajectory["queries"][-1]["cumulative_hit_rate"],
         },
+        problems=[name for name, passed in gates.items() if not passed],
         tolerances={
             "warm_cold_speedup": {"rel": 0.15, "direction": "higher_better"},
             "cold_cycles": {"rel": 0.05, "direction": "lower_better"},
             "final_hit_rate": {"rel": 0.10, "direction": "higher_better"},
         },
-        smoke=options.smoke,
-        grid=[
-            {"capacity_fraction": point.knob, **point.outcomes} for point in points
-        ],
-        trajectory=trajectory,
-        warm_vs_cold=warm_cold,
-        cold_byte_identity=identity,
+        payload=dict(
+            grid=[
+                {"capacity_fraction": point.knob, **point.outcomes}
+                for point in points
+            ],
+            trajectory=trajectory,
+            warm_vs_cold=warm_cold,
+            cold_byte_identity=identity,
+        ),
     )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
 
-    print(
-        f"warm-vs-cold: {warm_cold['speedup']:.1f}x "
-        f"({'ok' if warm_cold['passed'] else 'FAILED: expected >= 3x'})"
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the staging grid + checks; write the record; 0 iff checks pass."""
+    return verify.main(
+        "staging",
+        "repro.staging",
+        "Benchmark the device staging cache and gate its invariants.",
+        _body,
+        argv,
+        seeds=False,
     )
-    print(
-        "cold byte-identity: "
-        f"{'ok' if identity['passed'] else 'FAILED'} "
-        f"(staging {identity['staging_cycles']!r} vs "
-        f"legacy {identity['legacy_cycles']!r})"
-    )
-    final = trajectory["queries"][-1]
-    print(
-        f"trajectory: {len(trajectory['queries'])} queries, final hit rate "
-        f"{final['cumulative_hit_rate']:.2f}"
-    )
-    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.hardware.memory import Allocation, MemorySpace
+from repro.hardware.memory import Allocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.layout.fragment import Fragment
@@ -172,19 +172,6 @@ class StagingCache:
         self._drop(key)
         self.evictions += 1
         return entry
-
-    def evict_until(self, space: MemorySpace, nbytes: int) -> int:
-        """Evict LRU entries until *space* could fit *nbytes* more.
-
-        Returns the number of entries evicted; stops early when the
-        cache runs dry (the caller then falls back to streaming or to
-        its host path).
-        """
-        evicted = 0
-        while self._entries and not space.fits(nbytes):
-            self.evict_lru()
-            evicted += 1
-        return evicted
 
     def invalidate_fragment(self, fragment: "Fragment") -> int:
         """Drop every replica staged from *fragment* (write hook)."""

@@ -66,11 +66,6 @@ class TransferScheduler:
         """
         return self._platform.interconnect.transfer_cost(nbytes)
 
-    def predicted_burst_cost(self, sizes: Sequence[int]) -> Cycles:
-        """Host-cycle cost of a coalesced burst, side-effect-free."""
-        interconnect = self._platform.interconnect
-        return interconnect.burst_seconds(sizes) * interconnect.host_frequency_hz
-
     # ------------------------------------------------------------------
     # Accounted transfers
     # ------------------------------------------------------------------

@@ -55,28 +55,29 @@ class TestBenchSchema:
             assert needle in problems
 
     def test_all_checked_in_writers_use_the_schema(self):
-        """Every BENCH_* writer in the tree assembles its record through
-        make_bench_record — grep-level pin that nothing regressed to an
-        ad-hoc dict."""
+        """Every verifier CLI hands its record to ``verify.main``, and
+        ``repro/verify.py`` is the only module that dumps a bench
+        record — grep-level pin that no CLI regressed to a hand-rolled
+        writer."""
         import pathlib
 
         root = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        writers = [
-            path
-            for path in root.rglob("*.py")
-            if "BENCH_" in path.read_text(encoding="utf-8")
-            and path.name in ("__main__.py", "sweeper.py", "verifier.py")
-            and "json.dump" in path.read_text(encoding="utf-8")
-        ]
-        assert len(writers) >= 8
-        for path in writers:
-            # The record may be assembled in a sibling module (the
-            # serving CLI dumps what its verifier built).
-            package = "\n".join(
-                sibling.read_text(encoding="utf-8")
-                for sibling in path.parent.glob("*.py")
+        clis = [
+            root / plane / "__main__.py"
+            for plane in (
+                "sharding", "rebalance", "recovery", "serving",
+                "fusion", "staging", "obs",
             )
-            assert "make_bench_record" in package, path
+        ] + [root / "perf" / "sweeper.py"]
+        for path in clis:
+            assert "verify.main(" in path.read_text(encoding="utf-8"), path
+        dumpers = sorted(
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if "json.dump(" in (text := path.read_text(encoding="utf-8"))
+            and ("make_bench_record" in text or "BENCH_" in text)
+        )
+        assert dumpers == ["verify.py"]
 
 
 class TestCompareRecords:

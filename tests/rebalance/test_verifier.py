@@ -57,3 +57,29 @@ class TestChaosRun:
         assert record["seed"] == 5
         assert record["resilience"] == result.resilience
         assert record["ok"] == result.ok
+
+
+class TestCLI:
+    def test_sites_flag_narrows_the_armed_sites(self, tmp_path):
+        """``--sites`` reaches the runs, not just the coverage gate."""
+        import json
+
+        from repro.rebalance.__main__ import main
+
+        output = tmp_path / "BENCH_rebalance.json"
+        code = main(
+            ["--smoke", "--seeds", "5", "--sites", "net.drop-catchup",
+             "--output", str(output)]
+        )
+        assert code == 0
+        record = json.loads(output.read_text())
+        injected = {
+            key
+            for cell in record["matrix"]
+            for key in cell["resilience"]
+            if key.startswith("injected[")
+        }
+        assert injected == {"injected[net.drop-catchup]"}
+        assert all(
+            cell["sites"] == ["net.drop-catchup"] for cell in record["matrix"]
+        )
