@@ -18,6 +18,8 @@ available"), so operators here accept position lists directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -232,25 +234,75 @@ def aggregate_column(
     return combine_partials(op, partials, counts)
 
 
-def _positions_by_fragment(
-    fragments: Sequence[Fragment], positions: Sequence[int]
-) -> list[tuple[Fragment, list[int]]]:
-    """Group global row positions by owning fragment (fragments in row order)."""
-    grouped: list[tuple[Fragment, list[int]]] = []
-    for fragment in fragments:
+#: An owner range: ``(start, stop, fragment)`` rows of one attribute.
+OwnerRange = tuple[int, int, Fragment]
+
+
+def _owner_ranges(
+    layout: Layout, attributes: Sequence[str]
+) -> dict[str, list[OwnerRange]]:
+    """Per attribute, the disjoint row ranges each fragment owns, by start.
+
+    This is the one routing rule of this module.  Where fragments
+    overlap, the first one in insertion order owns the shared rows, as
+    in :meth:`Layout.fragment_for`: a later fragment keeps only the
+    rows no earlier fragment covers, possibly as several ranges.
+    """
+    owners: dict[str, list[OwnerRange]] = {name: [] for name in attributes}
+    for fragment in layout.fragments:
         rows = fragment.region.rows
+        for attribute in fragment.region.attributes:
+            owned = owners.get(attribute)
+            if owned is None:
+                continue
+            start, stop = rows.start, rows.stop
+            if not owned or owned[-1][1] <= start:
+                # Past every claimed row: the common, disjoint case.
+                if start < stop:
+                    owned.append((start, stop, fragment))
+                continue
+            index = bisect_right(owned, start, key=itemgetter(0))
+            if index and owned[index - 1][1] > start:
+                start = owned[index - 1][1]
+            pieces: list[OwnerRange] = []
+            for claimed_start, claimed_stop, __ in owned[index:]:
+                if claimed_start >= stop:
+                    break
+                if claimed_start > start:
+                    pieces.append((start, claimed_start, fragment))
+                start = claimed_stop
+            if start < stop:
+                pieces.append((start, stop, fragment))
+            if pieces:
+                owned.extend(pieces)
+                owned.sort(key=itemgetter(0))
+    return owners
+
+
+def _positions_by_fragment(
+    layout: Layout, attribute: str, positions: Sequence[int]
+) -> list[tuple[Fragment, list[int]]]:
+    """Group global row positions by the fragment owning them for *attribute*.
+
+    Fragments come in row order, local positions in list order; on an
+    overlapping layout each position goes to its first-match owner only
+    (see :func:`_owner_ranges`).
+    """
+    grouped: dict[int, tuple[Fragment, list[int]]] = {}
+    for start, stop, fragment in _owner_ranges(layout, (attribute,))[attribute]:
+        origin = fragment.region.rows.start
         local = [
-            position - rows.start for position in positions if rows.contains(position)
+            position - origin for position in positions if start <= position < stop
         ]
         if local:
-            grouped.append((fragment, local))
-    covered = sum(len(local) for __, local in grouped)
+            grouped.setdefault(id(fragment), (fragment, []))[1].extend(local)
+    covered = sum(len(local) for __, local in grouped.values())
     if covered != len(positions):
         raise ExecutionError(
             f"{covered} of {len(positions)} positions routed; layout does not "
             "cover the position list"
         )
-    return grouped
+    return list(grouped.values())
 
 
 def sum_at_positions(
@@ -264,12 +316,11 @@ def sum_at_positions(
     The positions are the sorted output of a preceding join (Figure 2's
     "sum prices of 150 items"); each one is a point access.
     """
-    fragments = layout.fragments_for_attribute(attribute)
     model = ctx.platform.memory_model
     total = 0.0
     latency: Cycles = 0.0
     compute: Cycles = 0.0
-    for fragment, local in _positions_by_fragment(fragments, positions):
+    for fragment, local in _positions_by_fragment(layout, attribute, positions):
         width = fragment.schema.attribute(attribute).width
         if not fragment.is_phantom:
             column = fragment.column(attribute)
@@ -300,23 +351,61 @@ def materialize_rows(
     Q1-style queries.  On an NSM layout each row costs one random record
     access; on a DSM(-emulated) layout it costs one random access *per
     attribute* — the factor that makes the row store win panel 1.
+
+    Rows are copied with one gather per (owning fragment, attribute),
+    never cell by cell.  Positions may repeat and come in any order.  A
+    bad position list raises what :meth:`Layout.read_row` raises for
+    its first bad cell in row-major order: :class:`LayoutError` for an
+    uncovered cell (checked first), :class:`StorageError` for a row
+    past its fragment's fill.
     """
     model = ctx.platform.memory_model
-    schema = layout.relation.schema
-    results: list[tuple[Any, ...]] = []
+    names = layout.relation.schema.names
+    rows = np.asarray(positions, dtype=np.int64)
+    distinct = sorted(set(rows.tolist()))
+    low, high = (distinct[0], distinct[-1]) if distinct else (0, -1)
+    owners = _owner_ranges(layout, names)
+    # Cost-only layouts have no payload, so no fill to check or read.
+    phantom = any(fragment.is_phantom for fragment in layout.fragments)
+
+    # Routing: per attribute, each owner range holding requested rows as
+    # (fragment, indices of its positions, or None for all of them).
+    claims: list[list[tuple[Fragment, np.ndarray | None]]] = []
+    # id(fragment) -> [first touch as (position index, attribute index),
+    # fragment, its owner ranges]
+    touched: dict[int, list[Any]] = {}
+    for attribute_index, attribute in enumerate(names):
+        attribute_claims: list[tuple[Fragment, np.ndarray | None]] = []
+        routed = 0
+        unfilled = False
+        for start, stop, fragment in owners[attribute]:
+            if stop <= low or start > high:
+                continue
+            if start <= low and high < stop:
+                selection, first, top = None, 0, high
+                routed += len(rows)
+            else:
+                selection = np.flatnonzero((rows >= start) & (rows < stop))
+                if not len(selection):
+                    continue
+                first, top = int(selection[0]), int(rows[selection].max())
+                routed += len(selection)
+            unfilled |= top >= fragment.region.rows.start + fragment.filled
+            attribute_claims.append((fragment, selection))
+            key = (first, attribute_index)
+            entry = touched.setdefault(id(fragment), [key, fragment, set()])
+            entry[0] = min(entry[0], key)
+            entry[2].add((start, stop))
+        if routed != len(rows) or (unfilled and not phantom):
+            _raise_for_first_bad_cell(layout, positions)
+        claims.append(attribute_claims)
+
+    # Cost plane: one entry per fragment in first-touch order (position-
+    # major, then schema order), charged once per distinct position.
     latency: Cycles = 0.0
     compute: Cycles = 0.0
-
-    # Cost plane: group by (fragment, shape); every attribute of every
-    # position must be fetched from its owning fragment.
-    fragment_positions: dict[int, tuple[Fragment, set[int]]] = {}
-    for position in positions:
-        for attribute in schema.names:
-            fragment = layout.fragment_for(position, attribute)
-            entry = fragment_positions.setdefault(id(fragment), (fragment, set()))
-            entry[1].add(position)
-    for fragment, rows in fragment_positions.values():
-        count = len(rows)
+    for __, fragment, ranges in sorted(touched.values(), key=itemgetter(0)):
+        count = _count_within(distinct, ranges)
         if _is_row_major(fragment):
             # One random access pulls the whole tuplet.
             latency += model.random(
@@ -333,11 +422,20 @@ def materialize_rows(
                 )
         compute += count * fragment.schema.arity * COPY_CYCLES_PER_FIELD
 
-    # Data plane (skipped when the layout holds phantom fragments:
-    # cost-only benchmark runs have no payload to materialize).
-    if not any(fragment.is_phantom for fragment in layout.fragments):
-        for position in positions:
-            results.append(layout.read_row(position))
+    # Data plane: one gather per claim, then rows zipped from columns.
+    results: list[tuple[Any, ...]] = []
+    if not phantom:
+        columns = [
+            _plain_values(
+                len(rows),
+                [
+                    (selection, _gather(fragment, attribute, rows, selection))
+                    for fragment, selection in attribute_claims
+                ],
+            )
+            for attribute, attribute_claims in zip(names, claims)
+        ]
+        results = list(zip(*columns))
 
     cycles = ctx.platform.cpu.parallelize(
         compute_cycles=compute,
@@ -348,6 +446,72 @@ def materialize_rows(
     with ctx.span("materialize", "operator", rows=len(positions)):
         ctx.charge(f"materialize@{len(positions)}pos", cycles)
     return results
+
+
+def _raise_for_first_bad_cell(layout: Layout, positions: Sequence[int]) -> None:
+    """Raise the error of the first uncovered, else first unfilled, cell."""
+    names = layout.relation.schema.names
+    for position in positions:
+        for attribute in names:
+            layout.fragment_for(position, attribute)
+    for position in positions:
+        layout.read_row(position)
+
+
+def _count_within(distinct: list[int], ranges: set[tuple[int, int]]) -> int:
+    """How many of the sorted *distinct* positions fall in the union of *ranges*."""
+    total = 0
+    cursor = 0
+    for start, stop in sorted(ranges):
+        start = max(start, cursor)
+        if start < stop:
+            total += bisect_left(distinct, stop) - bisect_left(distinct, start)
+            cursor = stop
+    return total
+
+
+def _gather(
+    fragment: Fragment,
+    attribute: str,
+    rows: np.ndarray,
+    selection: np.ndarray | None,
+) -> np.ndarray:
+    """*attribute* at the selected global *rows*, from one fragment.
+
+    Compressed columns answer through ``decode_at``, so a point read
+    never decodes the whole column.
+    """
+    local = (rows if selection is None else rows[selection]) - (
+        fragment.region.rows.start
+    )
+    compressed = fragment.compression
+    if compressed is None:
+        return fragment.column(attribute)[local]
+    return np.array(
+        [compressed.decode_at(row) for row in local.tolist()],
+        dtype=compressed.original_dtype,
+    )
+
+
+def _plain_values(
+    count: int, parts: list[tuple[np.ndarray | None, np.ndarray]]
+) -> list[Any]:
+    """Scatter one attribute's gathered parts into position order.
+
+    Values decode as :meth:`Fragment.read_field` decodes them: numpy
+    scalars become Python numbers and ``S`` bytes UTF-8 text (``tolist``
+    already strips the NUL padding).
+    """
+    if not parts:
+        return []
+    values = parts[0][1]
+    if len(parts) > 1:
+        values = np.empty(count, dtype=values.dtype)
+        for selection, part in parts:
+            values[selection] = part
+    if values.dtype.kind == "S":
+        return list(map(bytes.decode, values.tolist()))
+    return values.tolist()
 
 
 def filter_scan(

@@ -101,7 +101,6 @@ def aggregate_at_positions(
     per-fragment partial construction the fused data plane mirrors.
     """
     reducer, identity = aggregate_reducer(plan.op)
-    fragments = layout.fragments_for_attribute(plan.aggregate_attribute)
     model = ctx.platform.memory_model
     per_value = ADD_CYCLES_PER_VALUE + sum(
         project.cycles_per_value for project in plan.projects
@@ -110,7 +109,9 @@ def aggregate_at_positions(
     counts: list[int] = []
     latency: Cycles = 0.0
     compute: Cycles = 0.0
-    for fragment, local in _positions_by_fragment(fragments, positions):
+    for fragment, local in _positions_by_fragment(
+        layout, plan.aggregate_attribute, positions
+    ):
         width = fragment.schema.attribute(plan.aggregate_attribute).width
         if not fragment.is_phantom:
             values = fragment.column(plan.aggregate_attribute)[
@@ -384,10 +385,11 @@ def _device_filtered(
         # (and therefore to the fused plane), values served from the
         # replicas that would live on the device.
         reducer, identity = aggregate_reducer(plan.op)
-        fragments = layout.fragments_for_attribute(plan.aggregate_attribute)
         partials: list[Any] = []
         counts: list[int] = []
-        for fragment, local in _positions_by_fragment(fragments, positions):
+        for fragment, local in _positions_by_fragment(
+            layout, plan.aggregate_attribute, positions
+        ):
             values = agg_served[id(fragment)]
             if values is None:
                 continue
