@@ -32,7 +32,6 @@ import math
 
 from repro.errors import CapacityError, ExecutionError, PlacementError
 from repro.execution.context import ExecutionContext
-from repro.faults.injector import SITE_PCIE_TRANSFER
 from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.memory import MemoryKind, MemorySpace
 from repro.layout.fragment import Fragment
@@ -155,78 +154,6 @@ def _seeded_sum(seed: float, values: list[float]) -> float:
     return float(accumulator[-1])
 
 
-def _even_split(total: int, parts: int) -> list[int]:
-    """Split *total* bytes into *parts* near-equal positive chunks."""
-    base, extra = divmod(total, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
-
-
-def _overlapped_staging(
-    ctx: ExecutionContext,
-    attribute: str,
-    staged_bytes: int,
-    count: int,
-    chunks: int,
-    width: int,
-) -> Cycles:
-    """Charge a double-buffered chunked staging loop (overlap model).
-
-    Chunk *i*'s kernel runs while chunk *i+1* is in flight, so the
-    total is the pipelined critical path instead of transfer + kernel
-    serially; the hidden cycles are tallied in ``overlapped_cycles``.
-    Returns the kernel portion's serial cost for the breakdown (the
-    transfer portion is reported under ``overlapped-staging``).
-    """
-    platform = ctx.platform
-    scheduler = platform.staging.scheduler
-    per_chunk = math.ceil(count / chunks)
-    kernel_parts = platform.gpu.chunk_reduction_costs(count, per_chunk, width)
-    n = len(kernel_parts)
-    sizes = _even_split(staged_bytes, n)
-    interconnect = platform.interconnect
-    transfer_parts = [
-        interconnect.transfer_seconds(size) * interconnect.host_frequency_hz
-        for size in sizes
-    ]
-    kernel_costs = [cost for cost, _, _ in kernel_parts]
-    total, savings = scheduler.pipeline_cost(transfer_parts, kernel_costs)
-
-    def attempt() -> Cycles:
-        # Wire time and kernel time are interleaved on the critical
-        # path, so the whole pipelined charge lands per attempt — and
-        # shows up as one span per attempt, like the burst path.
-        with ctx.span(
-            "overlapped-staging", "pcie", bytes=staged_bytes, chunks=n
-        ):
-            ctx.counters.cycles += total
-            if platform.injector is not None:
-                platform.injector.check(SITE_PCIE_TRANSFER, ctx.counters)
-        return total
-
-    if ctx.retry is not None:
-        ctx.retry.run(f"pcie-transfer({attribute})", attempt, ctx)
-    else:
-        attempt()
-    counters = ctx.counters
-    counters.bytes_transferred += staged_bytes
-    counters.pcie_bytes += staged_bytes
-    counters.transfers += n
-    metrics = getattr(platform, "metrics", None)
-    if metrics is not None:
-        metrics.record(
-            "pcie.bytes", float(staged_bytes), cycle=counters.cycles,
-            layer="pcie",
-        )
-        metrics.record(
-            "pcie.transfers", float(n), cycle=counters.cycles, layer="pcie"
-        )
-    counters.overlapped_cycles += savings
-    counters.device_cycles += sum(part for _, part, _ in kernel_parts)
-    counters.kernel_launches += sum(launches for _, _, launches in kernel_parts)
-    ctx.note("overlapped-staging", total)
-    return total
-
-
 def device_sum_column(
     layout: Layout,
     attribute: str,
@@ -250,9 +177,7 @@ def device_sum_column(
     robustness strategies): when the column cannot be cached even after
     LRU eviction, it streams through a bounce buffer sized to the free
     device memory, processed in chunks — same total traffic, one extra
-    kernel launch per chunk (and, with ``platform.staging.overlap``
-    enabled, double-buffered so transfer hides behind compute).  A
-    device with no free memory at all raises
+    kernel launch per chunk.  A device with no free memory at all raises
     :class:`~repro.errors.CapacityError`, which callers (CoGaDB's HyPE)
     turn into a host fallback.
     """
@@ -294,7 +219,6 @@ def device_sum_column(
             misses.append(fragment)
 
         chunks = 1
-        kernel_charged = False
         staged_bytes = sum(fragment.filled * width for fragment in misses)
         if staged_bytes and charge_transfer:
             entries = staging.acquire(misses, attribute, width, ctx)
@@ -312,17 +236,11 @@ def device_sum_column(
                 bounce = device.allocate(buffer_bytes, f"stage({attribute})")
                 try:
                     chunks = math.ceil(staged_bytes / buffer_bytes)
-                    if staging.overlap and chunks > 1 and count:
-                        _overlapped_staging(
-                            ctx, attribute, staged_bytes, count, chunks, width
-                        )
-                        kernel_charged = True
-                    else:
-                        cost = _staging_transfer(attribute, staged_bytes, ctx)
-                        ctx.note("pcie-transfer", cost)
+                    cost = _staging_transfer(attribute, staged_bytes, ctx)
+                    ctx.note("pcie-transfer", cost)
                 finally:
                     device.free(bounce)
-        if count and not kernel_charged:
+        if count:
             with ctx.span(
                 f"gpu-reduce({attribute})", "kernel", elements=count, chunks=chunks
             ):

@@ -68,24 +68,18 @@ class Platform:
         staged state never leaks between sweep points.  Imported lazily
         because the staging package sits above the hardware layer.
 
-        Also attaches the platform's tracer (``platform.tracer``): the
-        process-wide default from :func:`repro.obs.tracing` when one is
-        active, else ``None`` (tracing off — every instrumentation hook
-        is a no-op, the zero-observer-effect contract).  Assign a
-        :class:`~repro.obs.Tracer` directly to trace one platform.
-
-        The windowed metrics registry (``platform.metrics``) follows the
-        identical pattern via :func:`repro.obs.windowed_metrics`: ``None``
-        by default, in which case every time-series emission hook is a
-        no-op.
+        Also sets the platform's observers, ``platform.tracer`` and
+        ``platform.metrics``, to ``None``: every instrumentation hook is
+        then a no-op (the zero-observer-effect contract).  Attach a
+        :class:`~repro.obs.Tracer` or a
+        :class:`~repro.obs.WindowedRegistry` by assignment; an observer
+        reaches instrumented code only through the platform it watches.
         """
-        from repro.obs.timeseries import default_metrics
-        from repro.obs.tracer import default_tracer
         from repro.staging.manager import StagingManager
 
         self.staging = StagingManager(self)
-        self.tracer = default_tracer()
-        self.metrics = default_metrics()
+        self.tracer = None
+        self.metrics = None
 
     @classmethod
     def paper_testbed(

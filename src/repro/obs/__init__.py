@@ -57,19 +57,13 @@ from repro.obs.timeseries import (
     TimeSeries,
     WindowAggregate,
     WindowedRegistry,
-    default_metrics,
-    set_default_metrics,
-    windowed_metrics,
 )
 from repro.obs.tracer import (
     LAYER_FUSED,
     InstantEvent,
     Span,
     Tracer,
-    default_tracer,
     nesting_violations,
-    set_default_tracer,
-    tracing,
 )
 
 __all__ = [
@@ -77,9 +71,6 @@ __all__ = [
     "Span",
     "InstantEvent",
     "LAYER_FUSED",
-    "tracing",
-    "default_tracer",
-    "set_default_tracer",
     "nesting_violations",
     "MetricsRegistry",
     "Counter",
@@ -88,9 +79,6 @@ __all__ = [
     "TimeSeries",
     "WindowAggregate",
     "WindowedRegistry",
-    "default_metrics",
-    "set_default_metrics",
-    "windowed_metrics",
     "SloSpec",
     "BurnRatePolicy",
     "SloEvaluator",

@@ -64,12 +64,11 @@ def run_figure2_workload(
 ) -> dict[str, Any]:
     """Run the probe workload once; return its artifacts.
 
-    *tracer* is installed as the process-wide default for the run (so
-    the platform built inside picks it up exactly like the Figure 2
-    drivers would); pass ``None`` for the untraced zero-observer
-    baseline.  Everything that costs simulated cycles runs inside an
-    observed query, so the :class:`~repro.obs.MetricsRegistry` totals
-    equal the context's final counters.
+    *tracer* is attached to the platform built inside; pass ``None``
+    for the untraced zero-observer baseline.  Everything that costs
+    simulated cycles runs inside an observed query, so the
+    :class:`~repro.obs.MetricsRegistry` totals equal the context's
+    final counters.
     """
     from repro.bench.figure2 import build_column_store
     from repro.execution.context import ExecutionContext
@@ -80,72 +79,68 @@ def run_figure2_workload(
     from repro.hardware.event import PerfCounters
     from repro.hardware.platform import Platform
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import set_default_tracer
     from repro.recovery.wal import WriteAheadLog
     from repro.workload.tpcc import item_relation
 
-    previous = set_default_tracer(tracer)
-    try:
-        platform = Platform.paper_testbed()
-        # Exactly one forced PCIe fault: the first burst attempt fails
-        # after burning its wire time, the retry policy absorbs it.
-        injector = FaultInjector(seed=seed)
-        injector.arm(SITE_PCIE_TRANSFER, 1.0, max_faults=1)
-        injector.install(platform)
-        wal = WriteAheadLog(platform, group_commit=4)
-        ctx = ExecutionContext(platform, retry=RetryPolicy())
-        ctx.wal = wal
-        store = build_column_store(platform, item_relation(rows))
-        registry = MetricsRegistry()
+    platform = Platform.paper_testbed()
+    platform.tracer = tracer
+    # Exactly one forced PCIe fault: the first burst attempt fails
+    # after burning its wire time, the retry policy absorbs it.
+    injector = FaultInjector(seed=seed)
+    injector.arm(SITE_PCIE_TRANSFER, 1.0, max_faults=1)
+    injector.install(platform)
+    wal = WriteAheadLog(platform, group_commit=4)
+    ctx = ExecutionContext(platform, retry=RetryPolicy())
+    ctx.wal = wal
+    store = build_column_store(platform, item_relation(rows))
+    registry = MetricsRegistry()
 
-        def observed(name: str, operation) -> None:
-            """One traced query: span + per-query counter delta."""
-            before = ctx.counters.snapshot()
-            with ctx.span(name, "query"):
-                operation(ctx)
-            after = ctx.counters.snapshot()
-            delta = PerfCounters(
-                **{key: after[key] - value for key, value in before.items()}
+    def observed(name: str, operation) -> None:
+        """One traced query: span + per-query counter delta."""
+        before = ctx.counters.snapshot()
+        with ctx.span(name, "query"):
+            operation(ctx)
+        after = ctx.counters.snapshot()
+        delta = PerfCounters(
+            **{key: after[key] - value for key, value in before.items()}
+        )
+        registry.observe_query(name, delta)
+
+    observed(
+        "q1-device-sum-cold",
+        lambda qctx: device_sum_column(store, "i_price", qctx),
+    )
+    observed(
+        "q2-device-sum-warm",
+        lambda qctx: device_sum_column(store, "i_price", qctx),
+    )
+    observed(
+        "q3-host-sum", lambda qctx: sum_column(store, "i_price", qctx)
+    )
+
+    def oltp_batch(qctx) -> None:
+        """Eight logged transactions; group commit flushes twice."""
+        for txn in range(1, 9):
+            wal.log_begin(txn, qctx)
+            wal.log_update(
+                txn, "item", "i_price", txn, float(txn), float(txn + 1), qctx
             )
-            registry.observe_query(name, delta)
+            wal.log_commit(txn, qctx)
 
-        observed(
-            "q1-device-sum-cold",
-            lambda qctx: device_sum_column(store, "i_price", qctx),
-        )
-        observed(
-            "q2-device-sum-warm",
-            lambda qctx: device_sum_column(store, "i_price", qctx),
-        )
-        observed(
-            "q3-host-sum", lambda qctx: sum_column(store, "i_price", qctx)
-        )
+    observed("q4-oltp-commits", oltp_batch)
 
-        def oltp_batch(qctx) -> None:
-            """Eight logged transactions; group commit flushes twice."""
-            for txn in range(1, 9):
-                wal.log_begin(txn, qctx)
-                wal.log_update(
-                    txn, "item", "i_price", txn, float(txn), float(txn + 1), qctx
-                )
-                wal.log_commit(txn, qctx)
-
-        observed("q4-oltp-commits", oltp_batch)
-
-        rates = registry.derive_rates(platform=platform, wal=wal)
-        return {
-            "rows": rows,
-            "snapshot": ctx.counters.snapshot(),
-            "breakdown": dict(ctx.breakdown.parts),
-            "rates": rates,
-            "metrics": registry.dump(),
-            "ctx": ctx,
-            "platform": platform,
-            "wal": wal,
-            "registry": registry,
-        }
-    finally:
-        set_default_tracer(previous)
+    rates = registry.derive_rates(platform=platform, wal=wal)
+    return {
+        "rows": rows,
+        "snapshot": ctx.counters.snapshot(),
+        "breakdown": dict(ctx.breakdown.parts),
+        "rates": rates,
+        "metrics": registry.dump(),
+        "ctx": ctx,
+        "platform": platform,
+        "wal": wal,
+        "registry": registry,
+    }
 
 
 #: The SLOs the windowed serving probe evaluates: a latency objective

@@ -103,8 +103,8 @@ def explain(ctx: "ExecutionContext", tracer: "Tracer | None" = None) -> str:
     active = tracer if tracer is not None else ctx.platform.tracer
     if active is None:
         raise ValueError(
-            "explain() needs a traced run: set platform.tracer (or use "
-            "repro.obs.tracing()) before executing the query"
+            "explain() needs a traced run: set platform.tracer "
+            "before executing the query"
         )
     total = sum(root.cycles for root in active.roots)
     milliseconds = total / ctx.platform.cpu.frequency_hz * 1e3

@@ -11,15 +11,16 @@ plane the workload autopilot (ROADMAP item 4) and the SLO layer
 
 **Label vocabulary.**  Series carry dimensional labels from a fixed
 vocabulary — :data:`LABEL_KEYS` = ``tenant``, ``shard``, ``layer``,
-``engine``, ``fault_site`` — so every emitter across serving, sharding,
-staging and faults speaks the same dimensions and window queries can
-filter on any subset of them.  Unknown label keys are a hard error:
+``engine``, ``fault_site`` — so every emitter (serving tenants, fault
+sites) speaks the same dimensions and window queries can filter on any
+subset of them.  Unknown label keys are a hard error:
 an open vocabulary would silently fragment series.
 
 **Zero observer effect.**  Recording a sample only ever *reads* the
 simulated clock; it never charges a cycle, never draws randomness, and
-every emitter guards on the platform carrying a windowed registry
-(``platform.metrics``), exactly like the tracer hooks.  The serving
+every emitter guards on a windowed registry being attached (the
+serving loop's ``registry``, ``platform.metrics``), exactly like the
+tracer hooks.  The serving
 property test pins a windowed run byte-identical to an unobserved one.
 
 **Window closure.**  Counter series keep an eviction-safe running
@@ -34,9 +35,7 @@ discipline :class:`~repro.execution.context.CounterScope` enforces).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 from repro.hardware.event import Cycles, PerfCounters
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -49,9 +48,6 @@ __all__ = [
     "WindowAggregate",
     "aggregate_windows",
     "WindowedRegistry",
-    "default_metrics",
-    "set_default_metrics",
-    "windowed_metrics",
 ]
 
 #: The closed label vocabulary every series dimension must come from.
@@ -64,12 +60,10 @@ SERIES_KINDS = ("counter", "gauge")
 
 #: Event-sourced counter series whose run total must close exactly
 #: against the named :class:`~repro.hardware.event.PerfCounters` field
-#: whenever a windowed registry observed the whole run.
+#: whenever a windowed registry observed the whole run.  Only facts the
+#: counters cannot label get one: staging and PCIe totals come from the
+#: ``platform.*`` series :meth:`WindowedRegistry.sample_counters` feeds.
 COUNTER_SERIES = {
-    "staging.hits": "staging_hits",
-    "staging.misses": "staging_misses",
-    "pcie.bytes": "pcie_bytes",
-    "pcie.transfers": "transfers",
     "fault.injected": "faults_injected",
 }
 
@@ -260,9 +254,9 @@ class WindowedRegistry(MetricsRegistry):
     histograms, per-query aggregation); on top, :meth:`record` lands
     labeled samples on the simulated cycle timeline and
     :meth:`windows` aggregates them over tumbling or sliding cycle
-    windows.  Attach one to ``platform.metrics`` (directly or via
-    :func:`windowed_metrics`) and the serving loop, sharded executor,
-    staging manager and fault injector emit their series into it.
+    windows.  Assign one to ``platform.metrics`` and the serving loop
+    and fault injector emit their series into it, and
+    :meth:`sample_counters` feeds the ``platform.*`` series.
 
     Parameters
     ----------
@@ -492,42 +486,3 @@ class WindowedRegistry(MetricsRegistry):
             for (_name, _key), series in sorted(self._series.items())
         ]
         return out
-
-
-# ----------------------------------------------------------------------
-# Process-wide default (mirrors repro.obs.tracer's default tracer)
-# ----------------------------------------------------------------------
-_DEFAULT_METRICS: WindowedRegistry | None = None
-
-
-def default_metrics() -> WindowedRegistry | None:
-    """The registry new platforms attach at construction (None = off)."""
-    return _DEFAULT_METRICS
-
-
-def set_default_metrics(
-    registry: WindowedRegistry | None,
-) -> WindowedRegistry | None:
-    """Install the process-wide default; returns the previous one."""
-    global _DEFAULT_METRICS
-    previous = _DEFAULT_METRICS
-    _DEFAULT_METRICS = registry
-    return previous
-
-
-@contextmanager
-def windowed_metrics(
-    registry: WindowedRegistry | None = None,
-) -> Iterator[WindowedRegistry]:
-    """Attach a windowed registry to every platform built inside.
-
-    Yields the active registry (a fresh one when not given) and
-    restores the previous default on exit — the same composition shape
-    as :func:`repro.obs.tracing`.
-    """
-    active = registry if registry is not None else WindowedRegistry()
-    previous = set_default_metrics(active)
-    try:
-        yield active
-    finally:
-        set_default_metrics(previous)

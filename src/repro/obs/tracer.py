@@ -16,12 +16,9 @@ platform carries no tracer.  ``tests/obs/test_zero_observer.py`` pins
 this by running the Figure 2 drivers traced and untraced and comparing
 ``PerfCounters.snapshot()`` byte for byte.
 
-Tracing is enabled either per platform (``platform.tracer = Tracer()``)
-or process-wide with the :func:`tracing` context manager, which makes
-every :class:`~repro.hardware.platform.Platform` constructed inside the
-``with`` block pick the tracer up — how the benchmark drivers (which
-build their own platforms per point) are traced without changing their
-signatures.
+Tracing is enabled per platform, by assignment
+(``platform.tracer = Tracer()``); there is no process-wide default, so
+two platforms in one process never share an observer.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ __all__ = [
     "Span",
     "InstantEvent",
     "Tracer",
-    "default_tracer",
-    "set_default_tracer",
-    "tracing",
     "nesting_violations",
 ]
 
@@ -234,41 +228,3 @@ def nesting_violations(span: Span) -> list[str]:
         previous_end = max(previous_end, child.end)
         problems.extend(nesting_violations(child))
     return problems
-
-
-# ----------------------------------------------------------------------
-# Process-wide default (how benchmark drivers are traced unchanged)
-# ----------------------------------------------------------------------
-_DEFAULT_TRACER: Tracer | None = None
-
-
-def default_tracer() -> Tracer | None:
-    """The tracer new platforms attach at construction (None = off)."""
-    return _DEFAULT_TRACER
-
-
-def set_default_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install *tracer* as the process-wide default; returns the old one."""
-    global _DEFAULT_TRACER
-    previous = _DEFAULT_TRACER
-    _DEFAULT_TRACER = tracer
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Tracer | None = None):
-    """Trace every platform constructed inside the ``with`` block.
-
-    Yields the active tracer (a fresh one when not given) and restores
-    the previous default on exit, so nested/sequential uses compose::
-
-        with tracing() as tracer:
-            panel = panel3_sum_all_transfer_included(row_counts=(100_000,))
-        events = chrome_trace_events(tracer, frequency_hz=2.6e9)
-    """
-    active = tracer if tracer is not None else Tracer()
-    previous = set_default_tracer(active)
-    try:
-        yield active
-    finally:
-        set_default_tracer(previous)

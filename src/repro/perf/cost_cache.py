@@ -20,18 +20,17 @@ identical inputs over and over.  Those costings are pure functions of
   and never written: a faulted run must re-execute every operator so
   the injector observes every check (and its RNG draws stay a pure
   function of the workload).
-* **Invalidation on reorganization and recovery** — a layout swap
-  changes fragment geometry in place, so
-  :func:`repro.adapt.reorganizer.reorganize_layout` calls
-  :meth:`CostCache.invalidate` after every successful swap; and a
-  recovered engine's layouts are rebuilt from checkpoint + log replay,
-  so :meth:`repro.recovery.RecoveryManager.recover` invalidates after
-  every replay for the same reason — memoized costings keyed on
-  pre-crash geometry must not serve the recovered layout.
+* **Freshness by key** — the key covers every input the formulas
+  read, so a layout swap or a recovery that changes fragment geometry
+  simply misses; an entry can never serve a fragment whose geometry
+  differs from the one it was priced on, and nothing has to be dropped.
 
 The default process-wide cache is reachable via
 :func:`active_cost_cache`; tests scope it with
-:func:`cost_cache_disabled` or :func:`set_cost_cache`.
+:func:`cost_cache_disabled` or :func:`set_cost_cache`.  It is the one
+module-level mutable default left in the package: the benchmark
+installs a fresh :class:`CostCache` per run through
+:func:`set_cost_cache` and reads its hit/miss counts.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class CostCache:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         """Number of memoized costings currently held."""
@@ -96,17 +94,11 @@ class CostCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def invalidate(self) -> None:
-        """Drop every memoized costing (e.g. after a layout swap)."""
-        self._entries.clear()
-        self.invalidations += 1
-
     def stats(self) -> dict[str, int]:
-        """Counters snapshot: hits, misses, invalidations, entries."""
+        """Counters snapshot: hits, misses, entries."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "invalidations": self.invalidations,
             "entries": len(self._entries),
         }
 
@@ -137,12 +129,6 @@ def cost_cache_disabled() -> Iterator[None]:
         yield
     finally:
         set_cost_cache(previous)
-
-
-def invalidate_cost_cache() -> None:
-    """Invalidate the active cache, if any (reorganization/recovery hook)."""
-    if _ACTIVE is not None:
-        _ACTIVE.invalidate()
 
 
 def cache_usable(platform: "Platform") -> bool:
@@ -228,6 +214,3 @@ def fragment_fingerprint(fragment: "Fragment") -> tuple:
         compressed,
         fragment.space.kind.value,
     )
-
-
-__all__ += ["invalidate_cost_cache"]

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import WindowedRegistry
 from repro.sharding.executor import SHARD_LOAD_METRIC
 from repro.sharding.placement import ShardMap
 
@@ -78,27 +77,6 @@ class SkewDetector:
         self.shard_map = shard_map
         self.threshold = threshold
         self._baseline: dict[str, float] = {}
-        self._use_windows = False
-
-    @classmethod
-    def from_windows(
-        cls,
-        registry: WindowedRegistry,
-        shard_map: ShardMap,
-        threshold: float = 1.25,
-    ) -> "SkewDetector":
-        """A detector reading the dimensional ``shard.load`` series.
-
-        The executor emits one labeled ``shard.load`` sample per served
-        sub-query into a :class:`~repro.obs.timeseries.WindowedRegistry`
-        (alongside the legacy ``shard-load.<id>`` counters); this
-        constructor consumes those windows instead of the raw counters,
-        so the detector sees exactly what the telemetry plane sees —
-        same baseline-delta window semantics, same reports.
-        """
-        detector = cls(registry, shard_map, threshold)
-        detector._use_windows = True
-        return detector
 
     def snapshot(self, reset: bool = True) -> SkewReport:
         """The load window since the last (resetting) snapshot.
@@ -113,12 +91,7 @@ class SkewDetector:
             if not shard.row_count:
                 continue
             name = f"{SHARD_LOAD_METRIC}.{shard.shard_id}"
-            if self._use_windows:
-                value = self.metrics.total(
-                    "shard.load", shard=str(shard.shard_id)
-                )
-            else:
-                value = self.metrics.counter(name).value
+            value = self.metrics.counter(name).value
             loads[shard.shard_id] = value - self._baseline.get(name, 0.0)
             if reset:
                 self._baseline[name] = value

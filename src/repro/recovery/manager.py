@@ -22,9 +22,10 @@ records:
 
 Afterwards the engine's :meth:`~repro.engines.base.StorageEngine.on_recovered`
 hook runs (L-Store merges replayed tails through its lineage, HyPer
-compacts the redo-touched hot tail) and the process-wide
-:class:`~repro.perf.CostCache` is invalidated — a recovered layout
-must not serve cost entries memoized against pre-crash geometry.
+compacts the redo-touched hot tail) and every staged device replica is
+dropped.  Memoized costings need no hook: the
+:class:`~repro.perf.CostCache` key covers fragment geometry, so a
+recovered layout whose geometry changed simply misses.
 
 Everything is cycle-charged on the *recovering* machine's context:
 log scan and checkpoint image as sequential disk reads, replay through
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import RecoveryError
-from repro.perf.cost_cache import invalidate_cost_cache
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.wal import LogRecord, LogRecordKind, WriteAheadLog
 
@@ -208,7 +208,6 @@ class RecoveryManager:
 
             # ---- engine-specific epilogue + cache hygiene ------------
             engine.on_recovered(name, ctx)
-            invalidate_cost_cache()
             # Staged device replicas captured pre-crash state (including
             # loser-transaction writes that undo just rolled back): drop
             # them all so post-restart reads re-stage from the recovered

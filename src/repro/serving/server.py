@@ -193,12 +193,6 @@ class ShardedBackend:
         """Scatter-gather the query; returns the canonical answer bytes."""
         return self.executor.run(spec, ctx).encoded()
 
-    def run_batch(
-        self, specs: Sequence[QuerySpec], ctx: ExecutionContext
-    ) -> list[Any]:
-        """Unreachable by construction (nothing is batchable)."""
-        return [self.run(spec, ctx) for spec in specs]
-
 
 @dataclass(frozen=True)
 class ExecutedQuery:
@@ -267,7 +261,8 @@ class ServingLoop:
     ----------
     backend:
         A :class:`LayoutBackend` or :class:`ShardedBackend` (anything
-        with ``run`` / ``run_batch`` / ``batchable`` / ``is_write``).
+        with ``run`` / ``batchable`` / ``is_write``, plus ``run_batch``
+        when ``batchable`` can return True).
     ctx:
         The root execution context; all scope deltas settle into its
         counters, so after a run ``ctx.counters`` is the platform

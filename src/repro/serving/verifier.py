@@ -190,8 +190,10 @@ def serve_once(
     Pass a :class:`~repro.obs.timeseries.WindowedRegistry` as
     *registry* to run the identical cell with the time-series plane
     active (the zero-observer-effect gate runs the cell both ways);
-    when given, it is also attached as ``platform.metrics`` so the
-    staging/PCIe/fault emission hooks feed the same registry.
+    when given, it is also assigned to ``platform.metrics`` so the
+    fault injector's per-site series land in the same registry.  An
+    observer reaches a platform only by such an assignment; there is
+    no process-wide default.
     """
     platform = Platform.paper_testbed()
     if registry is not None:

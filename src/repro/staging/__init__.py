@@ -10,8 +10,7 @@ that qualitative "keep it resident" advice into machinery:
   queries over the same column pay the transfer once
   (:doc:`docs/STAGING.md <../../docs/STAGING>` describes the policy);
 * :class:`TransferScheduler` — the single choke point for PCIe cost
-  accounting: coalesced DMA bursts (one latency charge per burst) and
-  the pinned-memory double-buffering (overlap) cost model;
+  accounting: coalesced DMA bursts (one latency charge per burst);
 * :class:`StagingManager` — the per-:class:`~repro.hardware.Platform`
   façade (``platform.staging``) gluing the two together: residency
   checks for HyPE's predictions, capacity-pressure eviction, and the

@@ -56,12 +56,6 @@ class StagingManager:
     scheduler:
         The :class:`~repro.staging.scheduler.TransferScheduler` all
         fragment-payload transfers route through.
-    overlap:
-        When True, chunked staging in
-        :func:`~repro.execution.device.device_sum_column` is charged
-        with the double-buffered pipeline model instead of serially.
-        Off by default so the cold path stays byte-identical to the
-        historical costs.
     capacity_bytes:
         Optional cap on the cache's resident bytes (on top of the
         device space's physical capacity) — the ablation knob the
@@ -72,7 +66,6 @@ class StagingManager:
         self.platform = platform
         self.cache = StagingCache()
         self.scheduler = TransferScheduler(platform)
-        self.overlap = False
         self.capacity_bytes: int | None = None
 
     # ------------------------------------------------------------------
@@ -119,7 +112,6 @@ class StagingManager:
         entry = self.cache.lookup(fragment, attribute)
         if counters is not None:
             tracer = getattr(self.platform, "tracer", None)
-            metrics = getattr(self.platform, "metrics", None)
             if entry is None:
                 counters.staging_misses += 1
                 if tracer is not None:
@@ -129,11 +121,6 @@ class StagingManager:
                         counters,
                         column=f"{fragment.label}.{attribute}",
                     )
-                if metrics is not None:
-                    metrics.record(
-                        "staging.misses", 1.0, cycle=counters.cycles,
-                        layer="staging",
-                    )
             else:
                 counters.staging_hits += 1
                 if tracer is not None:
@@ -142,11 +129,6 @@ class StagingManager:
                         "staging",
                         counters,
                         column=f"{fragment.label}.{attribute}",
-                    )
-                if metrics is not None:
-                    metrics.record(
-                        "staging.hits", 1.0, cycle=counters.cycles,
-                        layer="staging",
                     )
         return entry
 

@@ -10,7 +10,7 @@ from repro.fusion import Pipeline, compile_pipeline
 from repro.fusion.host import run_fused_host, vector_pass
 from repro.fusion.oracle import run_unfused_host
 from repro.hardware import Platform
-from repro.obs import LAYER_FUSED, tracing
+from repro.obs import LAYER_FUSED, Tracer
 
 from tests.fusion.stores import (
     STORE_BUILDERS,
@@ -126,10 +126,11 @@ class TestCostPlane:
         assert fused_ctx.cycles < oracle_ctx.cycles
 
     def test_fused_span_carries_the_layer(self, relation, columns):
-        with tracing() as tracer:
-            platform = Platform.paper_testbed()
-            store = dsm_store(platform, relation, columns)
-            run_fused_host(filtered_plan("sum"), store, ExecutionContext(platform))
+        tracer = Tracer()
+        platform = Platform.paper_testbed()
+        platform.tracer = tracer
+        store = dsm_store(platform, relation, columns)
+        run_fused_host(filtered_plan("sum"), store, ExecutionContext(platform))
         categories = {span.category for span in tracer.spans()}
         assert LAYER_FUSED in categories
 

@@ -10,8 +10,6 @@ from repro.obs.timeseries import (
     TimeSeries,
     WindowedRegistry,
     aggregate_windows,
-    default_metrics,
-    windowed_metrics,
 )
 
 
@@ -151,14 +149,14 @@ class TestClosure:
 
     def test_event_sourced_series_close_via_counter_series_map(self):
         registry = WindowedRegistry()
-        totals = PerfCounters(staging_hits=2, staging_misses=1, faults_injected=1)
-        registry.record("staging.hits", 1.0, cycle=10.0, layer="staging")
-        registry.record("staging.hits", 1.0, cycle=20.0, layer="staging")
-        registry.record("staging.misses", 1.0, cycle=5.0, layer="staging")
-        registry.record("fault.injected", 1.0, cycle=30.0, fault_site="x.y")
+        totals = PerfCounters(faults_injected=3)
+        registry.record("fault.injected", 1.0, cycle=10.0, fault_site="x.y")
+        registry.record("fault.injected", 1.0, cycle=20.0, fault_site="x.y")
+        registry.record("fault.injected", 1.0, cycle=30.0, fault_site="z.w")
         assert registry.verify_closure(totals) == []
-        totals.staging_hits += 1
-        assert registry.verify_closure(totals) != []
+        totals.faults_injected += 1
+        problems = registry.verify_closure(totals)
+        assert any("PerfCounters.faults_injected" in p for p in problems)
 
     def test_eviction_breaks_the_gate(self):
         registry = WindowedRegistry(ring_capacity=2)
@@ -187,18 +185,18 @@ class TestClosure:
         sums over the full timeline equal the running total exactly."""
         registry = WindowedRegistry()
         totals = PerfCounters()
-        for cycle, hits in stream:
-            delta = PerfCounters(staging_hits=hits)
-            if hits:
+        for cycle, faults in stream:
+            delta = PerfCounters(faults_injected=faults)
+            if faults:
                 registry.record(
-                    "staging.hits", float(hits), cycle=cycle, layer="staging"
+                    "fault.injected", float(faults), cycle=cycle, fault_site="x.y"
                 )
             totals.merge(delta)
         assert registry.verify_closure(totals) == []
         end = max((cycle for cycle, __ in stream), default=0.0)
-        windows = registry.windows("staging.hits", width=max(end / 7.0, 1.0))
+        windows = registry.windows("fault.injected", width=max(end / 7.0, 1.0))
         assert sum(w.sum for w in windows) == pytest.approx(
-            registry.total("staging.hits")
+            registry.total("fault.injected")
         )
 
 
@@ -216,14 +214,3 @@ class TestObserveQuery:
         assert series.samples() == [(500.0, 256.0)]
         assert registry.verify_closure(counters) == []
 
-
-class TestDefaultRegistry:
-    def test_windowed_metrics_installs_and_restores(self):
-        assert default_metrics() is None
-        with windowed_metrics() as registry:
-            assert default_metrics() is registry
-            from repro.hardware.platform import Platform
-
-            platform = Platform.paper_testbed()
-            assert platform.metrics is registry
-        assert default_metrics() is None

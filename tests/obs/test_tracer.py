@@ -8,10 +8,7 @@ from repro.hardware.event import PerfCounters
 from repro.obs.tracer import (
     Span,
     Tracer,
-    default_tracer,
     nesting_violations,
-    set_default_tracer,
-    tracing,
 )
 
 
@@ -117,33 +114,13 @@ class TestNestingValidator:
         assert any("before sibling" in p for p in nesting_violations(parent))
 
 
-class TestDefaultTracer:
-    def test_tracing_installs_and_restores(self):
-        assert default_tracer() is None
-        with tracing() as active:
-            assert default_tracer() is active
-            nested = Tracer()
-            with tracing(nested):
-                assert default_tracer() is nested
-            assert default_tracer() is active
-        assert default_tracer() is None
-
-    def test_set_default_returns_previous(self):
-        first = Tracer()
-        assert set_default_tracer(first) is None
-        try:
-            second = Tracer()
-            assert set_default_tracer(second) is first
-        finally:
-            set_default_tracer(None)
-
-    def test_new_platform_picks_up_default(self):
+class TestPlatformAttachment:
+    def test_new_platform_starts_unobserved(self):
         from repro.hardware.platform import Platform
 
-        with tracing() as active:
-            platform = Platform.paper_testbed()
-        assert platform.tracer is active
-        assert Platform.paper_testbed().tracer is None
+        platform = Platform.paper_testbed()
+        assert platform.tracer is None
+        assert platform.metrics is None
 
 
 @given(

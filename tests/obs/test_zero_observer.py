@@ -39,24 +39,12 @@ class TestWorkloadIdentity:
 
     def test_untraced_run_records_nothing(self):
         from repro.obs.__main__ import run_figure2_workload
-        from repro.obs.tracer import default_tracer
 
-        before = default_tracer()
-        run_figure2_workload(rows=50_000, tracer=None)
-        assert default_tracer() is before
-
-
-class TestFigure2DriverIdentity:
-    def test_panel3_traced_equals_untraced(self):
-        """The Fig. 2 panel 3 driver builds its own platforms per point;
-        the process-wide default tracer reaches them — without changing
-        a single measured cycle."""
-        from repro.bench.figure2 import panel3_sum_all_transfer_included
-        from repro.obs.tracer import tracing
-
-        rows = (100_000,)
-        baseline = panel3_sum_all_transfer_included(row_counts=rows)
-        with tracing() as tracer:
-            traced = panel3_sum_all_transfer_included(row_counts=rows)
-        assert traced == baseline
-        assert any(span.category == "pcie" for span in tracer.spans())
+        tracer = Tracer()
+        run_figure2_workload(rows=50_000, tracer=tracer)
+        spans, events = len(list(tracer.spans())), len(tracer.events)
+        untraced = run_figure2_workload(rows=50_000, tracer=None)
+        assert untraced["platform"].tracer is None
+        # The earlier run's tracer is not reachable from the new platform.
+        assert len(list(tracer.spans())) == spans
+        assert len(tracer.events) == events

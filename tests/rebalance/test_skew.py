@@ -60,52 +60,3 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             SkewDetector(built.metrics, built.shard_map, threshold=0.5)
 
-
-class TestFromWindows:
-    """The detector can read the dimensional ``shard.load`` series."""
-
-    def record_sample(self, registry, shard_id: int, load: float, cycle=0.0):
-        registry.record(
-            "shard.load", load, cycle=cycle, shard=str(shard_id)
-        )
-
-    def test_windowed_detector_matches_counter_detector(self, stack):
-        from repro.obs.timeseries import WindowedRegistry
-
-        built = stack(shard_count=4)
-        registry = WindowedRegistry()
-        windowed = SkewDetector.from_windows(registry, built.shard_map)
-        # Identical traffic through both planes.
-        for shard_id, load in ((0, 300.0), (1, 100.0)):
-            record(built, shard_id, load)
-            self.record_sample(registry, shard_id, load)
-        counter_report = built.skew.snapshot()
-        windowed_report = windowed.snapshot()
-        assert windowed_report.loads == counter_report.loads
-        assert windowed_report.ratio == counter_report.ratio
-        assert windowed_report.hottest == counter_report.hottest
-
-    def test_windowed_baseline_advances_like_the_counter_one(self, stack):
-        from repro.obs.timeseries import WindowedRegistry
-
-        built = stack(shard_count=2)
-        registry = WindowedRegistry()
-        detector = SkewDetector.from_windows(registry, built.shard_map)
-        self.record_sample(registry, 0, 50.0)
-        first = detector.snapshot()
-        assert first.loads[0] == 50.0
-        self.record_sample(registry, 1, 25.0, cycle=10.0)
-        second = detector.snapshot()
-        assert second.loads == {0: 0.0, 1: 25.0}
-
-    def test_windowed_detection_threshold(self, stack):
-        from repro.obs.timeseries import WindowedRegistry
-
-        built = stack(shard_count=4)
-        registry = WindowedRegistry()
-        detector = SkewDetector.from_windows(registry, built.shard_map)
-        for shard_id in range(4):
-            self.record_sample(registry, shard_id, 100.0)
-        assert not detector.skewed(detector.snapshot())
-        self.record_sample(registry, 0, 400.0, cycle=20.0)
-        assert detector.skewed(detector.snapshot())

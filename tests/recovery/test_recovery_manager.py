@@ -16,7 +16,7 @@ from repro.errors import RecoveryError
 from repro.execution import ExecutionContext
 from repro.faults.report import ResilienceReport
 from repro.hardware import Platform
-from repro.perf import active_cost_cache
+from repro.perf import active_cost_cache, cost_cache_disabled
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.wal import WriteAheadLog
@@ -98,18 +98,28 @@ class TestRecover:
         # Same durable artifacts -> identical replay, identical charge.
         assert results[0] == results[1]
 
-    def test_recovery_invalidates_cost_cache(self, platform):
-        # Satellite: memoized costings keyed on pre-crash geometry must
-        # not survive a replay that rebuilt the layouts.
-        wal, store, _ = crashed_artifacts(platform)
+    def test_recovery_costs_match_uncached(self):
+        # Memoized costings need no recovery hook: their key covers the
+        # recovered layout's geometry.  Crash -> recover -> scan under
+        # the default cache charges exactly what it charges uncached.
+        def crash_recover_scan():
+            wal, store, _ = crashed_artifacts(Platform.paper_testbed())
+            rebooted = Platform.paper_testbed()
+            ctx = ExecutionContext(rebooted)
+            engine, _ = RecoveryManager(wal, store).recover(
+                lambda: build_engine(rebooted), "item", ctx
+            )
+            total = engine.sum("item", "i_price", ctx)
+            return total, ctx.counters.snapshot()
+
         cache = active_cost_cache()
         assert cache is not None, "tier-1 runs with the default cache installed"
-        before = cache.invalidations
-        rebooted = Platform.paper_testbed()
-        RecoveryManager(wal, store).recover(
-            lambda: build_engine(rebooted), "item", ExecutionContext(rebooted)
-        )
-        assert cache.invalidations > before
+        with cost_cache_disabled():
+            uncached = crash_recover_scan()
+        hits = cache.hits
+        assert crash_recover_scan() == uncached
+        assert crash_recover_scan() == uncached
+        assert cache.hits > hits
 
     def test_recovery_tallies_into_resilience_report(self, platform):
         wal, store, _ = crashed_artifacts(platform)

@@ -1,12 +1,14 @@
-"""Library-wide API quality gates: docstrings and exports.
+"""Library-wide API quality gates: docstrings, exports, mutable globals.
 
 Every public module, class, function and method in ``repro`` must carry
 a docstring — the documentation deliverable, enforced.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,32 @@ def test_all_exports_resolve():
     for module in MODULES:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
+
+
+#: The module-level mutable defaults the library may rebind, with why.
+GLOBAL_ALLOWLIST = {
+    "perf/cost_cache.py": (
+        "_ACTIVE: the benchmark installs a fresh CostCache per run through "
+        "set_cost_cache and reads its hit/miss counts; the cache is a pure "
+        "memo keyed on every input it prices"
+    ),
+}
+
+
+def test_only_allowlisted_modules_rebind_globals():
+    """No process-wide mutable default beyond the allowlist.
+
+    Observers (tracers, windowed registries) reach instrumented code
+    only through the platform they watch; a ``global`` statement is how
+    a process-wide default would creep back in.
+    """
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append((path.relative_to(root).as_posix(), tuple(node.names)))
+    assert found == [("perf/cost_cache.py", ("_ACTIVE",))], (
+        f"global statements {found}; allowed only: {GLOBAL_ALLOWLIST}"
+    )
