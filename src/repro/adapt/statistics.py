@@ -26,9 +26,12 @@ __all__ = ["AttributeStatistics"]
 class AttributeStatistics:
     """Frequency and affinity aggregates over a trace window.
 
-    Build with :meth:`from_events`; all counters weight an event by the
-    number of rows it touched, so one full scan counts as much as many
-    point queries — matching how the physical penalty scales.
+    Build with :meth:`from_events`, or read a trace's running aggregate
+    with :meth:`repro.workload.trace.WorkloadTrace.statistics`; all
+    counters weight an event by the number of rows it touched, so one
+    full scan counts as much as many point queries — matching how the
+    physical penalty scales.  Counts are integers and never hold a zero
+    entry.
     """
 
     schema: Schema
@@ -47,20 +50,51 @@ class AttributeStatistics:
             stats.observe(event)
         return stats
 
+    def copy(self) -> "AttributeStatistics":
+        """An independent snapshot of the aggregates."""
+        return AttributeStatistics(
+            schema=self.schema,
+            access_count=Counter(self.access_count),
+            write_count=Counter(self.write_count),
+            co_access=Counter(self.co_access),
+            events=self.events,
+        )
+
     def observe(self, event: AccessDescriptor) -> None:
-        """Fold one access event into the aggregates."""
-        weight = max(event.row_count, 1)
+        """Fold one access event into the aggregates.
+
+        An event touching an attribute outside the schema raises
+        :class:`~repro.errors.WorkloadError` and changes no count.
+        """
         for attribute in event.attributes:
             if attribute not in self.schema:
                 raise WorkloadError(
                     f"event touches unknown attribute {attribute!r}"
                 )
-            self.access_count[attribute] += weight
-            if event.kind is AccessKind.WRITE:
-                self.write_count[attribute] += weight
-        for first, second in combinations(sorted(event.attributes), 2):
-            self.co_access[(first, second)] += weight
-        self.events += 1
+        self._add(event, 1)
+
+    def forget(self, event: AccessDescriptor) -> None:
+        """Take back one event :meth:`observe` folded in (its exact inverse).
+
+        Counts that reach zero are deleted, so the aggregates equal
+        those of a fresh :meth:`from_events` over the remaining events.
+        """
+        self._add(event, -1)
+
+    def _add(self, event: AccessDescriptor, sign: int) -> None:
+        weight = sign * max(event.row_count, 1)
+        keyed = [(self.access_count, event.attributes)]
+        if event.kind is AccessKind.WRITE:
+            keyed.append((self.write_count, event.attributes))
+        keyed.append((self.co_access, combinations(sorted(event.attributes), 2)))
+        for counter, keys in keyed:
+            for key in keys:
+                count = counter[key] + weight
+                if count:
+                    counter[key] = count
+                else:
+                    del counter[key]
+        self.events += sign
 
     # ------------------------------------------------------------------
     # Signals

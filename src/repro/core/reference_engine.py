@@ -33,7 +33,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.adapt.statistics import AttributeStatistics
 from repro.engines.base import (
     DelegationPolicy,
     EngineCapabilities,
@@ -213,11 +212,9 @@ class ReferenceEngine(StorageEngine):
         managed = self.managed(name)
         relation = managed.relation
         unified, accelerated = managed.layouts
-        stats = AttributeStatistics.from_events(
-            relation.schema, managed.trace.window()
-        )
         candidates = self._numeric_attributes(relation)
-        if managed.trace.window():
+        if len(managed.trace):
+            stats = managed.trace.statistics(relation.schema)
             ranked = [
                 attribute
                 for attribute in stats.hottest(relation.schema.arity)

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.adapt.statistics import AttributeStatistics
 from repro.distributed.cluster import Cluster, ClusterNode
 from repro.engines.base import (
     DelegationPolicy,
@@ -411,9 +410,7 @@ class ES2Engine(StorageEngine):
         recorded trace; returns False when the grouping is unchanged.
         """
         managed = self.managed(name)
-        stats = AttributeStatistics.from_events(
-            managed.relation.schema, managed.trace.window()
-        )
+        stats = managed.trace.statistics(managed.relation.schema)
         groups = stats.affinity_groups(self.affinity_threshold)
         current = self._groups.get(name) or [managed.relation.schema.names]
         if [tuple(group) for group in groups] == [tuple(group) for group in current]:

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.adapt.advisor import GroupProposal, LayoutAdvisor, LayoutProposal
 from repro.adapt.reorganizer import reorganize_layout
-from repro.adapt.statistics import AttributeStatistics
 from repro.engines.base import (
     EngineCapabilities,
     FragmentationChoice,
@@ -117,7 +116,7 @@ class H2OEngine(StorageEngine):
         """
         managed = self.managed(name)
         events = managed.trace.window()
-        stats = AttributeStatistics.from_events(managed.relation.schema, events)
+        stats = managed.trace.statistics(managed.relation.schema)
         best: LayoutProposal | None = None
         for candidate in self._advisor.candidates(managed.relation, stats):
             projected = tuple(

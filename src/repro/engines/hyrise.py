@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.adapt.statistics import AttributeStatistics
 from repro.engines.base import (
     EngineCapabilities,
     FragmentationChoice,
@@ -122,9 +121,7 @@ class HyriseEngine(StorageEngine):
         record-centric, DSM otherwise; singleton containers are thin.
         """
         managed = self.managed(name)
-        stats = AttributeStatistics.from_events(
-            managed.relation.schema, managed.trace.window()
-        )
+        stats = managed.trace.statistics(managed.relation.schema)
         record_heavy = (
             managed.trace.record_centric_fraction()
             >= managed.trace.attribute_centric_fraction()

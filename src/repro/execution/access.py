@@ -52,7 +52,11 @@ class AccessDescriptor:
     def __post_init__(self) -> None:
         if self.row_count < 0 or self.relation_rows < 0:
             raise WorkloadError("row counts must be >= 0")
-        if not 1 <= len(self.attributes) <= max(self.relation_arity, 1):
+        if self.relation_arity < 1:
+            raise WorkloadError(
+                f"relation arity must be >= 1, got {self.relation_arity}"
+            )
+        if not 1 <= len(self.attributes) <= self.relation_arity:
             raise WorkloadError(
                 f"touched {len(self.attributes)} attributes of "
                 f"{self.relation_arity}"

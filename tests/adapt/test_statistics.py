@@ -39,6 +39,26 @@ class TestCounting:
         with pytest.raises(WorkloadError):
             stats.observe(event(("zz",)))
 
+    def test_rejected_event_changes_no_count(self, schema):
+        stats = AttributeStatistics.from_events(schema, [event(("a", "b"))])
+        with pytest.raises(WorkloadError, match="unknown attribute 'zz'"):
+            stats.observe(event(("a", "b", "zz"), kind=AccessKind.WRITE))
+        assert dict(stats.access_count) == {"a": 1, "b": 1}
+        assert dict(stats.write_count) == {}
+        assert dict(stats.co_access) == {("a", "b"): 1}
+        assert stats.events == 1
+
+    def test_forget_inverts_observe(self, schema):
+        kept = [event(("a", "c"), rows=3), event(("b",), kind=AccessKind.WRITE)]
+        dropped = event(("c", "a", "d"), rows=0, kind=AccessKind.WRITE)
+        stats = AttributeStatistics.from_events(schema, [dropped, *kept])
+        stats.forget(dropped)
+        fresh = AttributeStatistics.from_events(schema, kept)
+        assert dict(stats.access_count) == dict(fresh.access_count)
+        assert dict(stats.write_count) == dict(fresh.write_count)
+        assert dict(stats.co_access) == dict(fresh.co_access)
+        assert stats.events == fresh.events == 2
+
     def test_hottest_ranking(self, schema):
         stats = AttributeStatistics.from_events(
             schema, [event(("c",), rows=10), event(("a",), rows=5)]

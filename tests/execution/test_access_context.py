@@ -42,6 +42,12 @@ class TestAccessDescriptor:
         with pytest.raises(WorkloadError):
             AccessDescriptor(AccessKind.READ, ("a",), -1, 10, 5)
 
+    def test_zero_arity_rejected(self):
+        # A zero-arity descriptor used to construct, then divide by
+        # zero in its shape properties.
+        with pytest.raises(WorkloadError, match="arity must be >= 1"):
+            AccessDescriptor(AccessKind.READ, ("a",), 10, 10, 0)
+
 
 class TestExecutionContext:
     def test_charge_updates_counters_and_breakdown(self, platform):
