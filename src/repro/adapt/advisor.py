@@ -11,7 +11,7 @@ evaluating alternative layouts from a pool", made explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import WorkloadError
 from repro.execution.access import AccessDescriptor
@@ -73,7 +73,7 @@ class LayoutAdvisor:
         self,
         relation: Relation,
         groups: Sequence[GroupProposal],
-        events: Sequence[AccessDescriptor],
+        events: Iterable[AccessDescriptor],
     ) -> float:
         """Estimated cycles to serve *events* under the proposed layout.
 
@@ -168,7 +168,7 @@ class LayoutAdvisor:
         self,
         relation: Relation,
         stats: AttributeStatistics,
-        events: Sequence[AccessDescriptor],
+        events: Iterable[AccessDescriptor],
     ) -> LayoutProposal:
         """The cheapest candidate layout for the observed workload."""
         best: LayoutProposal | None = None

@@ -745,7 +745,7 @@ class SweepSpec:
     calling ``func`` with a single-element grid.  ``None`` marks sweeps
     whose points share state (A7 shares loaded engines, A8 compares
     eras) and must run as one unit.  ``smoke_kwargs`` shrink the sweep
-    for CI's bench-smoke job without changing its shape.
+    for CI's smoke runs without changing its shape.
     """
 
     name: str

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adapt.advisor import GroupProposal, LayoutAdvisor, LayoutProposal
+from repro.adapt.advisor import LayoutAdvisor, LayoutProposal
 from repro.adapt.reorganizer import reorganize_layout
 from repro.engines.base import (
     EngineCapabilities,
@@ -111,29 +111,14 @@ class H2OEngine(StorageEngine):
     def evaluate_pool(self, name: str) -> LayoutProposal:
         """Cost every candidate layout in the pool against the trace.
 
-        Candidates proposing DSM fat fragments are projected onto H2O's
-        abilities: multi-attribute groups become NSM, singletons thin.
+        The advisor's pool already fits H2O's abilities: its fat groups
+        are NSM and its singletons thin.
         """
         managed = self.managed(name)
-        events = managed.trace.window()
-        stats = managed.trace.statistics(managed.relation.schema)
-        best: LayoutProposal | None = None
-        for candidate in self._advisor.candidates(managed.relation, stats):
-            projected = tuple(
-                GroupProposal(
-                    group.attributes,
-                    LinearizationKind.DIRECT
-                    if len(group.attributes) == 1
-                    or group.linearization is LinearizationKind.DIRECT
-                    else LinearizationKind.NSM,
-                )
-                for group in candidate
-            )
-            cost = self._advisor.estimate(managed.relation, projected, events)
-            if best is None or cost < best.estimated_cycles:
-                best = LayoutProposal(groups=projected, estimated_cycles=cost)
-        assert best is not None
-        return best
+        trace = managed.trace
+        return self._advisor.propose(
+            managed.relation, trace.statistics(managed.relation.schema), trace
+        )
 
     def reorganize(self, name: str, ctx: ExecutionContext) -> bool:
         """Lazily apply the pool's winning layout (False when unchanged)."""

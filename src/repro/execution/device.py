@@ -46,27 +46,6 @@ __all__ = [
 ]
 
 
-def _staging_transfer(
-    attribute: str, staged_bytes: int, ctx: ExecutionContext
-) -> Cycles:
-    """Charge the host->device staging copy, retrying injected faults.
-
-    The retry policy comes from the context; without one, a
-    :class:`~repro.errors.TransferError` propagates on first failure
-    (callers degrade to the host path via their fallback chains).
-    Every attempt — failed ones included — charges its wire time, so
-    resilience is visible in the measured cycle count.
-    """
-    scheduler = ctx.platform.staging.scheduler
-
-    def attempt() -> Cycles:
-        return scheduler.transfer(staged_bytes, ctx.counters)
-
-    if ctx.retry is not None:
-        return ctx.retry.run(f"pcie-transfer({attribute})", attempt, ctx)
-    return attempt()
-
-
 def is_device_resident(fragment: Fragment) -> bool:
     """Whether a fragment's payload lives in device memory."""
     return fragment.space.kind is MemoryKind.DEVICE
@@ -191,55 +170,37 @@ def device_sum_column(
         "operator",
         on_device=all(is_device_resident(fragment) for fragment in fragments),
     ):
+        served, unstaged = staging.serve(
+            [(fragment, attribute, width) for fragment in fragments],
+            ctx,
+            charge_transfer,
+        )
         total = 0.0
         count = 0
-        misses: list[Fragment] = []
         for fragment in fragments:
             count += fragment.filled
-            if is_device_resident(fragment):
-                if not fragment.is_phantom:
-                    values = fragment.column(attribute)
-                    total += float(np.sum(values)) if len(values) else 0.0
-                continue
-            entry = (
-                staging.lookup(fragment, attribute, ctx.counters)
-                if charge_transfer
-                else None
-            )
-            if entry is not None:
-                # The replica serves the read: a stale entry here would be
-                # a wrong answer, which is what the invalidation regression
-                # tests check for.
-                if entry.values is not None and len(entry.values):
-                    total += float(np.sum(entry.values))
-                continue
-            if not fragment.is_phantom:
-                values = fragment.column(attribute)
-                total += float(np.sum(values)) if len(values) else 0.0
-            misses.append(fragment)
-
+            values = served[(id(fragment), attribute)]
+            if values is not None and len(values):
+                total += float(np.sum(values))
         chunks = 1
-        staged_bytes = sum(fragment.filled * width for fragment in misses)
-        if staged_bytes and charge_transfer:
-            entries = staging.acquire(misses, attribute, width, ctx)
-            if entries is None:
-                # The column cannot be cached: stream it through a bounce
-                # buffer exactly as the pre-cache path did.
-                device = ctx.platform.device_memory
-                buffer_bytes = min(staged_bytes, device.available)
-                if buffer_bytes < width:
-                    raise CapacityError(
-                        f"device memory exhausted: {device.available} B free, "
-                        f"cannot stage even one {width} B element of "
-                        f"{attribute!r}"
-                    )
-                bounce = device.allocate(buffer_bytes, f"stage({attribute})")
-                try:
-                    chunks = math.ceil(staged_bytes / buffer_bytes)
-                    cost = _staging_transfer(attribute, staged_bytes, ctx)
-                    ctx.note("pcie-transfer", cost)
-                finally:
-                    device.free(bounce)
+        if unstaged:
+            # The column cannot be cached: stream it through a bounce
+            # buffer exactly as the pre-cache path did.
+            staged_bytes = sum(fragment.filled * width for fragment, *__ in unstaged)
+            device = ctx.platform.device_memory
+            buffer_bytes = min(staged_bytes, device.available)
+            if buffer_bytes < width:
+                raise CapacityError(
+                    f"device memory exhausted: {device.available} B free, "
+                    f"cannot stage even one {width} B element of "
+                    f"{attribute!r}"
+                )
+            bounce = device.allocate(buffer_bytes, f"stage({attribute})")
+            try:
+                chunks = math.ceil(staged_bytes / buffer_bytes)
+                staging.ship(unstaged, ctx)
+            finally:
+                device.free(bounce)
         if count:
             with ctx.span(
                 f"gpu-reduce({attribute})", "kernel", elements=count, chunks=chunks
@@ -282,42 +243,28 @@ def device_count_where(
     staging = ctx.platform.staging
     width = fragments[0].schema.attribute(attribute).width
     with ctx.span(f"device-count-where({attribute})", "operator"):
+        served, unstaged = staging.serve(
+            [(fragment, attribute, width) for fragment in fragments],
+            ctx,
+            charge_transfer,
+        )
+        if unstaged:
+            # No room to cache the replicas: charge the same burst
+            # uncached (this path never allocated a bounce buffer).
+            staging.ship(unstaged, ctx)
         matches = 0
         count = 0
-        misses: list[Fragment] = []
         for fragment in fragments:
             count += fragment.filled
-            entry = None
-            if not is_device_resident(fragment):
-                entry = (
-                    staging.lookup(fragment, attribute, ctx.counters)
-                    if charge_transfer
-                    else None
-                )
-                if entry is None:
-                    misses.append(fragment)
-            if not fragment.is_phantom:
-                values = (
-                    entry.values
-                    if entry is not None and entry.values is not None
-                    else fragment.column(attribute)
-                )
-                if len(values):
-                    mask = np.asarray(predicate(values), dtype=bool)
-                    if mask.shape != values.shape:
-                        raise ExecutionError(
-                            f"predicate returned shape {mask.shape} for "
-                            f"{values.shape} values"
-                        )
-                    matches += int(np.sum(mask))
-        staged_bytes = sum(fragment.filled * width for fragment in misses)
-        if staged_bytes and charge_transfer:
-            entries = staging.acquire(misses, attribute, width, ctx)
-            if entries is None:
-                # No room to cache the replicas: charge the same burst
-                # uncached (this path never allocated a bounce buffer).
-                cost = _staging_transfer(attribute, staged_bytes, ctx)
-                ctx.note("pcie-transfer", cost)
+            values = served[(id(fragment), attribute)]
+            if values is not None and len(values):
+                mask = np.asarray(predicate(values), dtype=bool)
+                if mask.shape != values.shape:
+                    raise ExecutionError(
+                        f"predicate returned shape {mask.shape} for "
+                        f"{values.shape} values"
+                    )
+                matches += int(np.sum(mask))
         if count:
             with ctx.span(
                 f"gpu-count-where({attribute})", "kernel", elements=count

@@ -17,7 +17,7 @@ record — and gates the tentpole claims:
   including the low-selectivity cells where the unfused host path
   genuinely wins.
 
-The process exits non-zero when any gate fails, so CI's bench-smoke
+The process exits non-zero when any gate fails, so CI's obs-regress
 job blocks on all three.
 """
 
@@ -117,5 +117,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
+if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-regress
     raise SystemExit(main())

@@ -6,9 +6,9 @@ and a device↔host round trip for the intermediate position list.  The
 fused plan makes the whole chain one cost event:
 
 * every missing operand column is staged through
-  :meth:`~repro.staging.manager.StagingManager.acquire_set` — one
-  coalesced DMA burst (one link latency) for the entire set, replicas
-  installed in the staging cache for the next query;
+  :meth:`~repro.staging.manager.StagingManager.serve` — one coalesced
+  DMA burst (one link latency) for the entire set, replicas installed
+  in the staging cache for the next query;
 * the chain runs as one grid-stride kernel
   (:meth:`~repro.hardware.gpu.GPUModel.fused_pipeline_cost`): one
   launch latency, intermediates in registers, no device buffers
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.execution.device import is_device_resident
 from repro.fusion.host import fused_reduce
 from repro.obs.tracer import LAYER_FUSED
 
@@ -58,12 +57,12 @@ def run_fused_device(
 ) -> Any:
     """Execute *plan* on the device as one fused cost event.
 
-    Operand serving order per (attribute, fragment): device-resident
-    fragments serve directly, fresh staging-cache replicas serve with a
-    hit tally, and every miss across **all** attributes is collected
-    into a single :meth:`acquire_set` burst.  ``charge_transfer=False``
-    reproduces the panels-4 accounting (transfers excluded); the data
-    plane computes the true answer either way.
+    Operands are served per (attribute, fragment) through
+    :meth:`~repro.staging.manager.StagingManager.serve`, so every miss
+    across **all** attributes is staged by a single burst.
+    ``charge_transfer=False`` reproduces the panels-4 accounting
+    (transfers excluded); the data plane computes the true answer
+    either way.
 
     An empty relation returns the aggregate's identity and charges
     nothing — no burst, no launch (the zero-size contract).
@@ -82,45 +81,23 @@ def run_fused_device(
         rows=layout.relation.row_count,
         operands=len(plan.attributes),
     ):
-        served: dict[tuple[int, str], np.ndarray | None] = {}
-        misses: list[tuple["Fragment", str, int]] = []
-        count = 0
-        for attribute, width in zip(plan.attributes, widths):
-            for fragment in layout.fragments_for_attribute(attribute):
-                if attribute == plan.attributes[0]:
-                    count += fragment.filled
-                key = (id(fragment), attribute)
-                if is_device_resident(fragment):
-                    served[key] = (
-                        None if fragment.is_phantom else fragment.column(attribute)
-                    )
-                    continue
-                entry = (
-                    staging.lookup(fragment, attribute, ctx.counters)
-                    if charge_transfer
-                    else None
-                )
-                if entry is not None:
-                    # The replica serves the read: a stale entry here
-                    # would be a wrong answer (the invalidation tests
-                    # pin this), so values come from the cache, not the
-                    # host fragment.
-                    served[key] = entry.values
-                    continue
-                served[key] = (
-                    None if fragment.is_phantom else fragment.column(attribute)
-                )
-                misses.append((fragment, attribute, width))
-        if misses and charge_transfer:
-            entries = staging.acquire_set(misses, ctx)
-            if entries is None:
-                raise CapacityError(
-                    f"device memory cannot hold the fused operand set of "
-                    f"{plan.describe()} ({sum(f.filled * w for f, __, w in misses)}"
-                    " B); a fused kernel needs every operand resident at launch"
-                )
-            for entry in entries:
-                served[(id(entry.source), entry.attribute)] = entry.values
+        requests = [
+            (fragment, attribute, width)
+            for attribute, width in zip(plan.attributes, widths)
+            for fragment in layout.fragments_for_attribute(attribute)
+        ]
+        served, unstaged = staging.serve(requests, ctx, charge_transfer)
+        if unstaged:
+            raise CapacityError(
+                f"device memory cannot hold the fused operand set of "
+                f"{plan.describe()} ({sum(f.filled * w for f, __, w in unstaged)}"
+                " B); a fused kernel needs every operand resident at launch"
+            )
+        count = sum(
+            fragment.filled
+            for fragment, attribute, __ in requests
+            if attribute == plan.attributes[0]
+        )
         if count:
             with ctx.span(
                 f"gpu-fused({plan.describe()})",

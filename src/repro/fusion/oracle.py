@@ -40,7 +40,6 @@ from repro.execution.operators import (
     sum_at_positions,
 )
 from repro.hardware.event import Cycles
-from repro.staging.manager import StagingManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
@@ -183,45 +182,27 @@ def _serve_column(
     width: int,
     ctx: "ExecutionContext",
     charge_transfer: bool,
-    staging: StagingManager,
-) -> dict[int, np.ndarray | None]:
-    """Serve ONE operator's input column: per-attribute lookup + burst.
+) -> dict[tuple[int, str], np.ndarray | None]:
+    """Serve ONE operator's input column with its own burst.
 
     This is the per-step staging discipline of the unfused plan — each
     operator acquires its own input with its own burst (one link
-    latency *per operator*), which is exactly the overhead
-    ``acquire_set`` removes for fused plans.  When the replicas cannot
-    be cached, the burst is charged uncached (the
+    latency *per operator*), which is exactly the overhead a fused
+    plan's single operand-set burst removes.  When the replicas cannot
+    be cached, the burst is shipped uncached (the
     ``device_count_where`` fallback shape).
     """
-    from repro.execution.device import _staging_transfer, is_device_resident
-
-    served: dict[int, np.ndarray | None] = {}
-    misses: list["Fragment"] = []
-    for fragment in layout.fragments_for_attribute(attribute):
-        served[id(fragment)] = (
-            None if fragment.is_phantom else fragment.column(attribute)
-        )
-        if is_device_resident(fragment):
-            continue
-        entry = (
-            staging.lookup(fragment, attribute, ctx.counters)
-            if charge_transfer
-            else None
-        )
-        if entry is not None:
-            served[id(fragment)] = entry.values
-            continue
-        misses.append(fragment)
-    staged_bytes = sum(fragment.filled * width for fragment in misses)
-    if staged_bytes and charge_transfer:
-        entries = staging.acquire(misses, attribute, width, ctx)
-        if entries is None:
-            cost = _staging_transfer(attribute, staged_bytes, ctx)
-            ctx.note("pcie-transfer", cost)
-        else:
-            for entry in entries:
-                served[id(entry.source)] = entry.values
+    staging = ctx.platform.staging
+    served, unstaged = staging.serve(
+        [
+            (fragment, attribute, width)
+            for fragment in layout.fragments_for_attribute(attribute)
+        ],
+        ctx,
+        charge_transfer,
+    )
+    if unstaged:
+        staging.ship(unstaged, ctx)
     return served
 
 
@@ -259,15 +240,13 @@ def _device_aggregate_unfiltered(
     width = layout.relation.schema.attribute(attribute).width
     reducer, identity = aggregate_reducer(plan.op)
     with ctx.span(f"device-{plan.op}({attribute})", "operator"):
-        served = _serve_column(
-            layout, attribute, width, ctx, charge_transfer, staging
-        )
+        served = _serve_column(layout, attribute, width, ctx, charge_transfer)
         partials: list[Any] = []
         counts: list[int] = []
         count = 0
         for fragment in layout.fragments_for_attribute(attribute):
             count += fragment.filled
-            values = served[id(fragment)]
+            values = served[(id(fragment), attribute)]
             if values is None or len(values) == 0:
                 continue
             partials.append(reducer(values))
@@ -311,14 +290,13 @@ def _device_filtered(
         # Operator 1: selection. Stages the scan column (its own burst),
         # evaluates the predicate, compacts matching positions on-device.
         scan_served = _serve_column(
-            layout, plan.scan_attribute, scan_width, ctx, charge_transfer,
-            staging,
+            layout, plan.scan_attribute, scan_width, ctx, charge_transfer
         )
         mask_parts: list[tuple[int, np.ndarray]] = []
         rows = 0
         for fragment in layout.fragments_for_attribute(plan.scan_attribute):
             rows += fragment.filled
-            values = scan_served[id(fragment)]
+            values = scan_served[(id(fragment), plan.scan_attribute)]
             if values is None or len(values) == 0:
                 continue
             fragment_mask = np.asarray(
@@ -355,8 +333,7 @@ def _device_filtered(
         # column with a SECOND burst, gathers at scattered offsets, then
         # runs the two-pass reduction over the gathered buffer.
         agg_served = _serve_column(
-            layout, plan.aggregate_attribute, agg_width, ctx, charge_transfer,
-            staging,
+            layout, plan.aggregate_attribute, agg_width, ctx, charge_transfer
         )
         if matches:
             with ctx.span(
@@ -390,7 +367,7 @@ def _device_filtered(
         for fragment, local in _positions_by_fragment(
             layout, plan.aggregate_attribute, positions
         ):
-            values = agg_served[id(fragment)]
+            values = agg_served[(id(fragment), plan.aggregate_attribute)]
             if values is None:
                 continue
             selected = values[np.asarray(local, dtype=np.int64)]

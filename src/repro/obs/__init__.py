@@ -30,7 +30,7 @@ the cross-run regression diff CI runs.
 
 ``python -m repro.obs`` runs a Figure-2 workload traced, emits
 ``trace.json`` + the profile report, and gates the zero-observer and
-trace-schema checks (CI's obs-smoke job).  See docs/OBSERVABILITY.md.
+trace-schema checks (CI's obs-regress job).  See docs/OBSERVABILITY.md.
 """
 
 from repro.obs.bench import (

@@ -35,10 +35,9 @@ per ``--seeds`` seed:
 * **regression self-check** — :func:`repro.obs.regress.compare_records`
   flags a synthetic 25% regression and passes identical artifacts.
 
-The process exits non-zero when any gate fails, so CI's obs-smoke and
-obs-regress jobs can assert the whole observability contract in one
-command; ``BENCH_obs.json`` follows the unified
-:mod:`repro.obs.bench` schema.
+The process exits non-zero when any gate fails, so CI's obs-regress
+job can assert the whole observability contract in one command;
+``BENCH_obs.json`` follows the unified :mod:`repro.obs.bench` schema.
 """
 
 from __future__ import annotations
@@ -385,5 +384,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-smoke
+if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-regress
     raise SystemExit(main())

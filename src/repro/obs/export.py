@@ -9,7 +9,7 @@ tracer's instant events become ``"ph": "i"`` markers, and each layer
 (operator, kernel, pcie, wal, staging, ...) gets its own named thread
 row so the stack reads top-to-bottom like the architecture diagram.
 
-:func:`validate_chrome_trace` is the minimal schema gate CI's obs-smoke
+:func:`validate_chrome_trace` is the minimal schema gate CI's obs-regress
 job runs on the emitted file: required keys present on every event and
 timestamps monotonic per thread row.
 """

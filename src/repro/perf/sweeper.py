@@ -19,7 +19,7 @@ grid order.  This module fans them out:
 
 ``python -m repro.perf --smoke`` runs the reduced CI grid and writes
 wall-clock and rows/s per sweep to ``BENCH_sweeps.json`` — the
-artifact CI's bench-smoke job tracks (docs/PERFORMANCE.md).
+artifact CI's obs-regress job tracks (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -249,5 +249,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
+if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-regress
     raise SystemExit(main())

@@ -6,18 +6,18 @@ dwarf the actual streaming time of a cached column.  Serial dispatch
 pays those fixed costs **per query**; :func:`run_device_batch` pays
 them **per batch**:
 
-* every distinct operand column is probed in the staging cache once,
-  and all misses ship in ONE coalesced PCIe burst
-  (:meth:`~repro.staging.StagingManager.acquire_set` — one link
-  latency for the whole operand set);
+* every distinct operand column is served once
+  (:meth:`~repro.staging.StagingManager.serve`): all misses ship in
+  ONE coalesced PCIe burst — one link latency for the whole operand
+  set;
 * the reductions launch as ONE batched two-pass grid
   (:meth:`~repro.hardware.gpu.GPUModel.batched_reduction_cost` — two
   launch latencies total, streaming charged per distinct column);
 * all K scalar answers return in ONE device→host copy.
 
 The data plane is deliberately identical to the serial path: each
-query's answer accumulates ``float(np.sum(...))`` per fragment in
-fragment order, exactly as
+distinct column's answer accumulates ``float(np.sum(...))`` per
+fragment in fragment order over the served arrays, exactly as
 :func:`~repro.execution.device.device_sum_column` does — batching is a
 cost-plane optimization, never a semantics change, and the serving
 verifier byte-compares every batched answer against a serial replay.
@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.execution.device import is_device_resident
-from repro.hardware.event import Cycles
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 
@@ -38,24 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
 
 __all__ = ["run_device_batch"]
-
-
-def _sum_fragments(layout: Layout, attribute: str) -> float:
-    """One query's data-plane answer, in the serial accumulation order.
-
-    Must mirror :func:`~repro.execution.device.device_sum_column`'s
-    loop shape — per-fragment ``float(np.sum(values))`` added in
-    fragment order — so a batched answer is bit-equal to the serial
-    one.  Fragment payloads and staged replicas hold equal arrays
-    (replicas are copies invalidated on every write), so reading the
-    fragment is always correct here.
-    """
-    total = 0.0
-    for fragment in layout.fragments_for_attribute(attribute):
-        if not fragment.is_phantom:
-            values = fragment.column(attribute)
-            total += float(np.sum(values)) if len(values) else 0.0
-    return total
 
 
 def run_device_batch(
@@ -93,36 +73,15 @@ def run_device_batch(
             if not fragments:
                 continue
             width = fragments[0].schema.attribute(attribute).width
-            count = 0
-            for fragment in fragments:
-                count += fragment.filled
-                if is_device_resident(fragment):
-                    continue
-                entry = staging.lookup(fragment, attribute, ctx.counters)
-                if entry is None:
-                    requests.append((fragment, attribute, width))
-            shapes.append((count, width))
+            requests.extend((fragment, attribute, width) for fragment in fragments)
+            shapes.append((sum(fragment.filled for fragment in fragments), width))
             result_width += width * attributes.count(attribute)
-        if requests:
-            entries = staging.acquire_set(requests, ctx)
-            if entries is None:
-                # The operand set cannot be cached even after eviction:
-                # ship the same bytes in one uncached burst (same wire
-                # time, no replicas installed for the next batch).
-                sizes = [
-                    fragment.filled * width
-                    for fragment, __, width in requests
-                    if fragment.filled * width > 0
-                ]
-
-                def attempt() -> Cycles:
-                    return staging.scheduler.burst(sizes, ctx.counters)
-
-                if ctx.retry is not None:
-                    cost = ctx.retry.run("pcie-transfer(batch)", attempt, ctx)
-                else:
-                    cost = attempt()
-                ctx.note("pcie-transfer", cost)
+        served, unstaged = staging.serve(requests, ctx)
+        if unstaged:
+            # The operand set cannot be cached even after eviction:
+            # ship the same bytes in one uncached burst (same wire
+            # time, no replicas installed for the next batch).
+            staging.ship(unstaged, ctx)
         if shapes:
             with ctx.span(
                 "gpu-batch-reduce", "kernel", columns=len(shapes)
@@ -131,7 +90,14 @@ def run_device_batch(
                     shapes, ctx.counters
                 )
                 ctx.note("gpu-batch-reduce", kernel_cost)
-        answers = [_sum_fragments(layout, attribute) for attribute in attributes]
+        # Each distinct column is summed once, per fragment in fragment
+        # order, exactly as the serial path accumulates it.
+        sums = dict.fromkeys(distinct, 0.0)
+        for fragment, attribute, __ in requests:
+            values = served[(id(fragment), attribute)]
+            if values is not None and len(values):
+                sums[attribute] += float(np.sum(values))
+        answers = [sums[attribute] for attribute in attributes]
         # All K scalars come home in one device->host copy.
         result_cost = staging.scheduler.transfer(
             max(result_width, 1), ctx.counters

@@ -15,7 +15,7 @@ Writes ``BENCH_staging.json`` — the staging layer's acceptance record:
 
 Both checks are asserted: the process exits non-zero when either
 fails (through the shared :mod:`repro.verify` harness), so CI's
-bench-smoke job gates on them.
+obs-regress job gates on them.
 """
 
 from __future__ import annotations
@@ -206,5 +206,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
+if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-regress
     raise SystemExit(main())

@@ -9,16 +9,18 @@ three ways:
   let HyPE's cost predictions see that a column already has a device
   replica (predicted transfer cost 0) without perturbing cache state;
 * **serving** — :meth:`lookup` (per-query hit/miss accounting into the
-  query's counters), :meth:`acquire` (stage the missing columns of one
-  attribute in one coalesced burst, evicting LRU replicas under
-  capacity pressure) and :meth:`acquire_set` (the fused-pipeline form:
-  a whole multi-attribute operand set in one burst);
+  query's counters), :meth:`serve` (the one serve-or-stage step every
+  device operator takes: resident fragments serve their payload, cached
+  replicas serve on a hit, and every miss is staged by one
+  :meth:`acquire_set` burst, evicting LRU replicas under capacity
+  pressure) and :meth:`ship` (the uncached burst for misses that could
+  not be cached);
 * **invalidation** — :meth:`invalidate_fragment` / :meth:`invalidate_all`,
   fired by ``update_field``, the re-organizer and the recovery manager
   so a stale replica never serves a read.
 
 OOM resilience: an injected ``device.alloc`` fault during
-:meth:`acquire` is absorbed by evicting the LRU replica (recorded as a
+:meth:`acquire_set` is absorbed by evicting the LRU replica (recorded as a
 *recovered* fault — the discard itself is free, the cost resurfaces as
 a re-transfer on that column's next miss); the fault only surfaces —
 engaging the caller's fallback chain — when the cache has nothing left
@@ -34,6 +36,7 @@ import numpy as np
 from repro.errors import DeviceError
 from repro.faults.injector import SITE_DEVICE_ALLOC
 from repro.hardware.event import Cycles, PerfCounters
+from repro.hardware.memory import MemoryKind
 from repro.staging.cache import StagedColumn, StagingCache
 from repro.staging.scheduler import TransferScheduler
 
@@ -42,7 +45,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.platform import Platform
     from repro.layout.fragment import Fragment
 
+    #: One operand column: ``(fragment, attribute, element width)``.
+    Request = tuple[Fragment, str, int]
+
 __all__ = ["StagingManager"]
+
+
+def _label(requests: Sequence[Request]) -> str:
+    """The retry label of a burst: its distinct attributes, in order."""
+    return ",".join(dict.fromkeys(attribute for __, attribute, __ in requests))
+
+
+def _payload(fragment: Fragment, attribute: str) -> np.ndarray | None:
+    """The fragment's own column (``None`` for a phantom fragment)."""
+    return None if fragment.is_phantom else fragment.column(attribute)
 
 
 class StagingManager:
@@ -132,37 +148,102 @@ class StagingManager:
                     )
         return entry
 
-    def acquire(
+    def serve(
         self,
-        fragments: Sequence["Fragment"],
-        attribute: str,
-        width: int,
+        requests: Sequence[Request],
         ctx: "ExecutionContext",
-    ) -> list[StagedColumn] | None:
-        """Stage the missing columns of *fragments* in one coalesced burst.
+        charge_transfer: bool = True,
+    ) -> tuple[dict[tuple[int, str], np.ndarray | None], list[Request]]:
+        """Serve one kernel's operand columns, staging every miss at once.
 
-        Single-attribute convenience over :meth:`acquire_set`; the
-        charge sequence (one alloc-fault draw, one retry-wrapped burst,
-        per-fragment replica installs) is exactly the historical one.
+        *requests* are ``(fragment, attribute, width)`` triples in the
+        order the kernel reads them.  A device-resident fragment serves
+        its own payload; a host fragment is probed with :meth:`lookup`
+        and a hit serves the replica.  Every probe happens before the
+        misses are staged by one :meth:`acquire_set` burst, so LRU order
+        and the ``device.alloc`` fault draw see the whole operand set.
+
+        ``charge_transfer=False`` is panel 4's accounting: nothing is
+        probed or staged, and host fragments serve their payload.
+
+        Returns the served arrays keyed by ``(id(fragment), attribute)``
+        (``None`` for phantom fragments) and the misses left unstaged —
+        empty unless :meth:`acquire_set` could not cache them, in which
+        case the caller picks its fallback (:meth:`ship` among them).
         """
-        return self.acquire_set(
-            [(fragment, attribute, width) for fragment in fragments], ctx
-        )
+        served: dict[tuple[int, str], np.ndarray | None] = {}
+        misses: list[Request] = []
+        for request in requests:
+            fragment, attribute, __ = request
+            if charge_transfer and fragment.space.kind is not MemoryKind.DEVICE:
+                entry = self.lookup(fragment, attribute, ctx.counters)
+                if entry is None:
+                    misses.append(request)
+                else:
+                    # The replica serves the read: a stale entry here
+                    # would be a wrong answer, which the invalidation
+                    # tests pin.
+                    served[(id(fragment), attribute)] = entry.values
+            else:
+                served[(id(fragment), attribute)] = _payload(fragment, attribute)
+        entries = self.acquire_set(misses, ctx)
+        for entry in entries or ():
+            served[(id(entry.source), entry.attribute)] = entry.values
+        for fragment, attribute, __ in misses:
+            key = (id(fragment), attribute)
+            if key not in served:  # a zero-byte miss, or nothing was cached
+                served[key] = _payload(fragment, attribute)
+        return served, misses if entries is None else []
+
+    def ship(
+        self,
+        requests: Sequence[Request],
+        ctx: "ExecutionContext",
+    ) -> None:
+        """Charge *requests*' payloads as one uncached burst.
+
+        The fallback for misses :meth:`serve` could not cache: the same
+        bytes cross the link (retried like any staging burst), but no
+        replica is installed for the next query.
+        """
+        total = sum(fragment.filled * width for fragment, __, width in requests)
+        if total:
+            self._burst([total], _label(requests), ctx)
+
+    def _burst(
+        self, sizes: Sequence[int], label: str, ctx: "ExecutionContext"
+    ) -> None:
+        """One retry-wrapped DMA burst, noted as ``pcie-transfer``.
+
+        Every attempt — failed ones included — charges its wire time;
+        without a retry policy the first fault propagates to the
+        caller's fallback chain.
+        """
+
+        def attempt() -> Cycles:
+            return self.scheduler.burst(sizes, ctx.counters)
+
+        if ctx.retry is not None:
+            cost = ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
+        else:
+            cost = attempt()
+        ctx.note("pcie-transfer", cost)
 
     def acquire_set(
         self,
-        requests: Sequence["tuple[Fragment, str, int]"],
+        requests: Sequence[Request],
         ctx: "ExecutionContext",
     ) -> list[StagedColumn] | None:
         """Stage a whole operand set — ``(fragment, attribute, width)``
         triples, possibly spanning several attributes — in **one**
         coalesced burst.
 
-        This is the fused-pipeline entry point: a fused kernel needs
-        every operand column resident before its single launch, so the
-        manager reserves all replicas up front and ships their payloads
-        in one DMA burst (one link latency for the entire set), instead
-        of one burst per operator as the unfused plan pays.
+        This is the staging step behind :meth:`serve`: a kernel needs
+        every operand column resident before its launch, so the manager
+        reserves all replicas up front and ships their payloads in one
+        DMA burst (one link latency for the entire set).  A fused plan
+        stages its whole operand set this way; the unfused plan pays one
+        burst per operator.
 
         Charges one retry-wrapped DMA burst for all payloads, allocates
         device replicas and installs them in the cache — replicas are
@@ -191,9 +272,6 @@ class StagingManager:
         sizes = [fragment.filled * width for fragment, __, width in staged]
         total = sum(sizes)
         device = self.platform.device_memory
-        label = ",".join(
-            dict.fromkeys(attribute for __, attribute, __ in staged)
-        )
 
         injector = self.platform.injector
         if injector is not None:
@@ -230,14 +308,8 @@ class StagingManager:
                 return None
             allocations.append(allocation)
 
-        def attempt() -> Cycles:
-            return self.scheduler.burst(sizes, ctx.counters)
-
         try:
-            if ctx.retry is not None:
-                cost = ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
-            else:
-                cost = attempt()
+            self._burst(sizes, _label(staged), ctx)
         except BaseException:
             # A surfaced transfer fault must not leak device memory or
             # leave half-staged entries: residency state stays exactly
@@ -245,7 +317,6 @@ class StagingManager:
             for reserved in allocations:
                 device.free(reserved)
             raise
-        ctx.note("pcie-transfer", cost)
 
         entries: list[StagedColumn] = []
         for (fragment, attribute, __), allocation in zip(staged, allocations):

@@ -81,3 +81,27 @@ class TestAmortization:
             for a in ("i_price", "i_im_id")
         )
         assert ctx.counters.pcie_bytes - before == width_sum
+
+
+class TestDataPlaneReads:
+    def test_warm_batch_reads_each_column_at_most_once(
+        self, ctx, store, monkeypatch
+    ):
+        """Answers come from the served arrays, one sum per distinct column."""
+        from collections import Counter
+
+        from repro.layout.fragment import Fragment
+
+        attributes = ["i_price", "i_im_id"] * 8
+        run_device_batch(store, attributes, ctx)  # warm the staging cache
+        reads: Counter = Counter()
+        column = Fragment.column
+
+        def counted(fragment, attribute):
+            reads[(fragment.label, attribute)] += 1
+            return column(fragment, attribute)
+
+        monkeypatch.setattr(Fragment, "column", counted)
+        answers = run_device_batch(store, attributes, ctx)
+        assert answers == answers[:2] * 8
+        assert max(reads.values(), default=0) <= 1

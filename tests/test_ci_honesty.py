@@ -1,10 +1,11 @@
-"""CI installs what the code it runs imports.
+"""CI installs what the code it runs imports, and runs each check once.
 
 A job that runs the library (``PYTHONPATH=src`` or ``repro`` on a
 ``run:`` line) must pip-install every runtime dependency declared in
 ``pyproject.toml``; otherwise it passes only on runners that happen to
-have them.  The workflow is read as text because CI does not install
-PyYAML.
+have them.  No two jobs may run the same verifier invocation: a second
+copy gates nothing the first does not.  The workflow is read as text
+because CI does not install PyYAML.
 """
 
 import re
@@ -72,3 +73,26 @@ def test_jobs_running_the_library_install_its_dependencies():
             if dependency not in installs:
                 missing.append(f"{name}: {dependency}")
     assert not missing, f"jobs run the library without installing: {missing}"
+
+
+def verifier_invocations(commands: list[str]) -> set[str]:
+    """Every ``python -m repro.<module> ...`` line, env prefix dropped."""
+    found = set()
+    for command in commands:
+        for line in command.splitlines():
+            match = re.search(r"python -m (repro\.\S+.*)$", line.strip())
+            if match:
+                found.add(" ".join(match.group(1).split()))
+    return found
+
+
+def test_no_two_jobs_run_the_same_verifier_invocation():
+    jobs = job_commands(WORKFLOW.read_text())
+    seen: dict[str, str] = {}
+    duplicates = []
+    for name, commands in jobs.items():
+        for invocation in sorted(verifier_invocations(commands)):
+            if invocation in seen:
+                duplicates.append(f"{seen[invocation]} and {name}: {invocation}")
+            seen.setdefault(invocation, name)
+    assert not duplicates, f"jobs repeat a verifier run word for word: {duplicates}"
